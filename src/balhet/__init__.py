@@ -20,8 +20,7 @@ from .field import (DetectorModel, GaussianFieldState, HeterodyneConfig,
 from .spectral import (SpectralDensity, detector_response, frequency_grid,
                        heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form, quadrature_noise_spectrum)
-from .correlation import (IntensityCorrelation, TimeAverage,
-                          intensity_correlation, intensity_correlation_grid,
+from .correlation import (TimeAverage, intensity_correlation,
                           lambda_prime, lambda_prime_quadrature_form,
                           strong_oscillator_background, time_average_reduce,
                           wick_oracle)

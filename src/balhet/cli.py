@@ -20,11 +20,11 @@ from . import __version__
 from .correlation import lambda_prime, lambda_prime_quadrature_form, time_average_reduce
 from .errors import BalhetError, ConfigInvalid
 from .field import HeterodyneConfig, OpoParams, coherent_state, opo_field_state, opo_spectra
-from .locking import LockConfig, closed_loop_simulate
+from .locking import LockConfig, closed_loop_simulate, validate_lock
 from .montecarlo import WelchConfig, monte_carlo_heterodyne, monte_carlo_homodyne
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
-from .spectral import (SpectralDensity, frequency_grid, heterodyne_spectrum,
-                       homodyne_spectrum, opo_heterodyne_closed_form)
+from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
+                       opo_heterodyne_closed_form)
 from .svgplot import Panel, write_svg
 
 MODES = ("spectrum", "montecarlo", "correlation", "lock", "figure3")
@@ -35,7 +35,7 @@ DEFAULTS = {
     "run": {"mode": "spectrum", "seed": "12345", "out": "out"},
     "opo": {"gamma": "1.0", "epsilon": "0.5", "eta": "1.0"},
     "heterodyne": {"omega": "0.05", "phi1": "0.0", "phi2": "0.0",
-                   "beta": "0.0", "amplitude": "1.0", "omega0": "0.0"},
+                   "beta": "0.0", "amplitude": "1.0"},
     "grid": {"omega_max": "3.0", "points": "1001"},
     "montecarlo": {"sample_rate": "10.0", "segment_length": "8192",
                    "overlap": "0.5", "window": "hann",
@@ -98,13 +98,24 @@ def _parser_with_defaults(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _get(parser, section, key, conv, errors):
+_POSITIVE = (lambda v: v > 0, "positive")
+
+
+def _get(parser, section, key, conv, errors, rule=None):
+    """Convert one value; ``rule`` is an optional (predicate, description)."""
     raw = parser.get(section, key)
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError:
         errors.append(f"[{section}] {key}: cannot parse {raw!r}")
         return None
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"[{section}] {key}: must be finite, got {raw!r}")
+        return None
+    if value is not None and rule is not None and not rule[0](value):
+        errors.append(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
+        return None
+    return value
 
 
 def load_config(path: str | None = None, *, mode: str | None = None,
@@ -112,8 +123,8 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     """Parse and validate an INI config, applying CLI overrides."""
     parser = _parser_with_defaults(path)
     errors: list[str] = []
-    f = lambda s, k: _get(parser, s, k, float, errors)
-    i = lambda s, k: _get(parser, s, k, int, errors)
+    f = lambda s, k, rule=None: _get(parser, s, k, float, errors, rule)
+    i = lambda s, k, rule=None: _get(parser, s, k, int, errors, rule)
 
     eff_mode = mode or parser.get("run", "mode")
     if eff_mode not in MODES:
@@ -132,11 +143,12 @@ def load_config(path: str | None = None, *, mode: str | None = None,
                                phi1=f("heterodyne", "phi1"),
                                phi2=f("heterodyne", "phi2"),
                                beta=f("heterodyne", "beta"),
-                               amplitude=f("heterodyne", "amplitude"),
-                               omega0=f("heterodyne", "omega0"))
+                               amplitude=f("heterodyne", "amplitude"))
     except (TypeError, ValueError) as exc:
         errors.append(f"[heterodyne] {exc}")
         het = None
+    if eff_mode == "correlation" and het is not None and not het.Omega > 0:
+        errors.append("[heterodyne] omega: must be positive in correlation mode")
     try:
         welch = WelchConfig(segment_length=i("montecarlo", "segment_length"),
                             overlap=f("montecarlo", "overlap"),
@@ -146,7 +158,15 @@ def load_config(path: str | None = None, *, mode: str | None = None,
         errors.append(f"[montecarlo] {exc}")
         welch = None
 
-    cutoff_raw = parser.get("lock", "lowpass_cutoff").strip()
+    grid_omega_max = f("grid", "omega_max", _POSITIVE)
+    grid_points = i("grid", "points", (lambda v: v >= 3, "at least 3"))
+    mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
+    mc_segments = i("montecarlo", "segments")
+    overlay_seeds = i("montecarlo", "overlay_seeds")
+    correlation_iota_max = f("correlation", "iota_max")
+    correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
+    correlation_periods = f("correlation", "averaging_periods")
+
     phibar0 = f("lock", "phibar0")
     dist_amp = f("lock", "disturbance_amplitude")
     dist_omega = f("lock", "disturbance_omega")
@@ -157,7 +177,10 @@ def load_config(path: str | None = None, *, mode: str | None = None,
         lock = LockConfig(Omega_prime=f("lock", "omega_prime"),
                           theta=f("lock", "theta"),
                           demod_phase=f("lock", "demod_phase"),
-                          lowpass_cutoff=float(cutoff_raw) if cutoff_raw else None,
+                          lowpass_cutoff=_get(
+                              parser, "lock", "lowpass_cutoff",
+                              lambda raw: float(raw) if raw.strip() else None,
+                              errors, _POSITIVE),
                           kp=f("lock", "kp"), ki=f("lock", "ki"),
                           dt=f("lock", "dt"), duration=f("lock", "duration"),
                           disturbance=disturbance,
@@ -165,9 +188,11 @@ def load_config(path: str | None = None, *, mode: str | None = None,
         lock_het = HeterodyneConfig(Omega=f("lock", "omega"),
                                     phi1=phibar0, phi2=phibar0, beta=0.0,
                                     amplitude=f("lock", "amplitude"))
+        validate_lock(lock_het, lock)
     except (TypeError, ValueError) as exc:
         errors.append(f"[lock] {exc}")
         lock = lock_het = None
+    mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
 
     if errors:
         raise ConfigInvalid("; ".join(errors))
@@ -178,15 +203,14 @@ def load_config(path: str | None = None, *, mode: str | None = None,
 
     return ExperimentConfig(
         mode=eff_mode, seed=eff_seed, out=eff_out, opo=opo, heterodyne=het,
-        grid_omega_max=f("grid", "omega_max"), grid_points=i("grid", "points"),
-        welch=welch, mc_sample_rate=f("montecarlo", "sample_rate"),
-        mc_segments=i("montecarlo", "segments"),
-        overlay_seeds=i("montecarlo", "overlay_seeds"),
-        correlation_iota_max=f("correlation", "iota_max"),
-        correlation_points=i("correlation", "points"),
-        correlation_periods=f("correlation", "averaging_periods"),
+        grid_omega_max=grid_omega_max, grid_points=grid_points,
+        welch=welch, mc_sample_rate=mc_sample_rate,
+        mc_segments=mc_segments, overlay_seeds=overlay_seeds,
+        correlation_iota_max=correlation_iota_max,
+        correlation_points=correlation_points,
+        correlation_periods=correlation_periods,
         lock=lock, lock_heterodyne=lock_het,
-        lock_mean=complex(f("lock", "mean_real"), f("lock", "mean_imag")),
+        lock_mean=complex(mean_real, mean_imag),
         snapshot=snapshot,
     )
 
@@ -307,7 +331,7 @@ def run_lock(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
 
 
 def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
-    """Reproduce the four noise-reduction panels.
+    """Reproduce the four noise-reduction panels; always writes the SVG.
 
     Panels a-c: heterodyne with offset/damping ratios 0.05, 0.5, 5 via the
     closed-form split Lorentzians; panel d: homodyne with the same source.
@@ -324,17 +348,9 @@ def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
         path = _out(cfg, f"figure3_{label}.csv")
         write_spectral_csv(path, sd, meta)
         paths.append(path)
-        points = []
-        if cfg.overlay_seeds > 0:
-            mc = _overlay_average(
-                lambda s: monte_carlo_heterodyne(
-                    cfg.opo, HeterodyneConfig(Omega=Om, amplitude=cfg.heterodyne.amplitude),
-                    cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, s),
-                cfg.seed, cfg.overlay_seeds)
-            keep = np.abs(mc.omega_grid) <= grid[-1]
-            stride = max(1, int(np.sum(keep)) // 60)
-            points = [(mc.omega_grid[keep][::stride],
-                       mc.chi_normalized[keep][::stride], "mc")]
+        het = HeterodyneConfig(Omega=Om, amplitude=cfg.heterodyne.amplitude)
+        points = _overlay_points(cfg, grid[-1], lambda s: monte_carlo_heterodyne(
+            cfg.opo, het, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, s))
         panels.append(_spectrum_panel(
             f"({label}) heterodyne, offset/damping = {ratio}",
             [(sd.omega_grid, sd.chi_normalized, "analytic")], points))
@@ -344,16 +360,8 @@ def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
     path = _out(cfg, "figure3_d.csv")
     write_spectral_csv(path, hom, meta)
     paths.append(path)
-    points = []
-    if cfg.overlay_seeds > 0:
-        mc = _overlay_average(
-            lambda s: monte_carlo_homodyne(cfg.opo, 0.0, cfg.mc_sample_rate,
-                                           cfg.mc_segments, cfg.welch, s),
-            cfg.seed, cfg.overlay_seeds)
-        keep = np.abs(mc.omega_grid) <= grid[-1]
-        stride = max(1, int(np.sum(keep)) // 60)
-        points = [(mc.omega_grid[keep][::stride],
-                   mc.chi_normalized[keep][::stride], "mc")]
+    points = _overlay_points(cfg, grid[-1], lambda s: monte_carlo_homodyne(
+        cfg.opo, 0.0, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, s))
     panels.append(_spectrum_panel("(d) homodyne",
                                   [(hom.omega_grid, hom.chi_normalized, "analytic")],
                                   points))
@@ -363,25 +371,21 @@ def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
     return paths
 
 
-def _overlay_average(factory, seed: int, count: int) -> SpectralDensity:
-    sds = [factory(seed + k) for k in range(count)]
+def _overlay_points(cfg: ExperimentConfig, omega_max: float, estimate) -> list:
+    """About 60 seed-averaged Monte-Carlo points within +/-omega_max, or none."""
+    if cfg.overlay_seeds <= 0:
+        return []
+    sds = [estimate(cfg.seed + k) for k in range(cfg.overlay_seeds)]
+    omega = sds[0].omega_grid
     chi = np.mean([sd.chi_normalized for sd in sds], axis=0)
-    first = sds[0]
-    sigma = first.sigma / math.sqrt(count) if first.sigma is not None else None
-    return SpectralDensity(first.omega_grid, chi, first.normalization,
-                           first.config_snapshot, sigma=sigma)
+    keep = np.abs(omega) <= omega_max
+    stride = max(1, int(np.sum(keep)) // 60)
+    return [(omega[keep][::stride], chi[keep][::stride], "mc")]
 
 
 RUNNERS = {"spectrum": run_spectrum, "montecarlo": run_montecarlo,
            "correlation": run_correlation, "lock": run_lock,
            "figure3": run_figure3}
-
-
-def run_mode(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
-    """Dispatch to the runner for the configured mode."""
-    if cfg.mode == "figure3":
-        return run_figure3(cfg)
-    return RUNNERS[cfg.mode](cfg, svg=svg)
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -409,7 +413,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        paths = run_mode(cfg, svg=args.svg)
+        paths = RUNNERS[cfg.mode](cfg, svg=args.svg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -257,25 +257,3 @@ def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
     closed = float(lambda_prime(state, cfg, iota))
     return TimeAverage(numeric=numeric, closed_form=closed)
 
-
-@dataclass(frozen=True)
-class IntensityCorrelation:
-    """lambda(t, iota) sampled on a rectangular (t, iota) grid."""
-
-    t_grid: np.ndarray
-    iota_grid: np.ndarray
-    values: np.ndarray
-    lo_config: HeterodyneConfig
-
-    def __post_init__(self):
-        if self.values.shape != (len(self.t_grid), len(self.iota_grid)):
-            raise ValueError("values shape does not match the grids")
-
-
-def intensity_correlation_grid(state: GaussianFieldState, cfg: HeterodyneConfig,
-                               t_grid, iota_grid) -> IntensityCorrelation:
-    """Evaluate ``intensity_correlation`` on the outer product of two grids."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    iota_grid = np.asarray(iota_grid, dtype=float)
-    values = intensity_correlation(state, cfg, t_grid[:, None], iota_grid[None, :])
-    return IntensityCorrelation(t_grid, iota_grid, values, cfg)

@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import NonCausalPulse, ThresholdDivergence
 
-SPEED_OF_LIGHT = 299792458.0  # m/s
-
 
 @dataclass(frozen=True)
 class OpoParams:
@@ -59,25 +57,12 @@ class OpoParams:
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
 
-    @classmethod
-    def from_cavity(cls, reflectivity, length, epsilon, eta=1.0,
-                    light_speed=SPEED_OF_LIGHT):
-        """Build from mirror reflectivity and cavity length: gamma = (1-R)c/l."""
-        gamma = (1.0 - reflectivity) * light_speed / length
-        return cls(gamma=gamma, epsilon=epsilon, eta=eta)
-
-    @property
-    def threshold_distance(self) -> float:
-        """Conjugate pole ``gamma/2 - epsilon``; zero exactly at threshold."""
-        return self.gamma / 2.0 - self.epsilon
-
 
 @dataclass(frozen=True)
 class HeterodyneConfig:
     """Dual local-oscillator geometry.
 
-    ``omega0`` is the optical carrier (bookkeeping only; it cancels from
-    every observable).  The oscillators sit at ``omega0 +/- Omega`` with
+    The oscillators sit at ``+/- Omega`` from the optical carrier with
     global phases ``phi1``/``phi2`` and common amplitude ``amplitude`` in
     sqrt(photons/s).  ``beta`` is the quadrature reference phase of the
     detected mode.
@@ -92,7 +77,6 @@ class HeterodyneConfig:
     phi2: float = 0.0
     beta: float = 0.0
     amplitude: float = 1.0
-    omega0: float = 0.0
 
     def __post_init__(self):
         if self.Omega < 0:
@@ -134,8 +118,7 @@ class GaussianFieldState:
 
 def vacuum_state(beta: float = 0.0) -> GaussianFieldState:
     """Zero-mean state with vanishing normally-ordered kernels."""
-    zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-    return GaussianFieldState(0j, zero, zero, beta)
+    return coherent_state(0j, beta)
 
 
 def coherent_state(mean_amplitude: complex, beta: float = 0.0) -> GaussianFieldState:
@@ -309,8 +292,7 @@ def opo_field_state(params: OpoParams, beta: float = 0.0,
     phase = np.exp(-2j * beta)
 
     if eps == 0.0:
-        zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-        return GaussianFieldState(complex(mean_amplitude), zero, zero, beta)
+        return coherent_state(mean_amplitude, beta)
 
     def g11(tau):
         at = np.abs(np.asarray(tau, dtype=float))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -187,14 +187,6 @@ def mean_photocurrent(state: GaussianFieldState, cfg: HeterodyneConfig,
     return eta * det.charge * mean_i
 
 
-def dc_photocurrent(state: GaussianFieldState, cfg: HeterodyneConfig,
-                    det: DetectorModel, eta: float = 1.0) -> float:
-    """Non-oscillating part of the mean photocurrent (stripped before mixing)."""
-    return eta * det.charge * (2.0 * cfg.amplitude ** 2
-                               + abs(state.mean_amplitude) ** 2
-                               + float(np.real(state.gamma11(0.0))))
-
-
 def error_line_prediction(state: GaussianFieldState, cfg: HeterodyneConfig,
                           lock: LockConfig, det: DetectorModel,
                           eta: float = 1.0) -> complex:
@@ -228,72 +220,16 @@ def error_line_projection(state: GaussianFieldState, cfg: HeterodyneConfig,
     return complex(np.mean(j * _folded_cis(-nu_cycles, t)))
 
 
-def _single_pole(x, alpha):
-    """First-order low-pass y[k] = y[k-1] + alpha (x[k] - y[k-1])."""
-    y = np.empty_like(x)
-    acc = 0.0
-    for k, v in enumerate(x.tolist()):
-        acc += alpha * (v - acc)
-        y[k] = acc
-    return y
-
-
-def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
-                 lock: LockConfig, det: DetectorModel, eta: float = 1.0,
-                 settle_time: float | None = None,
-                 average_time: float | None = None) -> float:
-    """Demodulated DC error for the current oscillator phases.
-
-    Multiplies the DC-stripped photocurrent by the reference
-    ``-2 sin((Omega - Omega')t + demod_phase)``, low-pass filters, and
-    averages the tail.  The averaging window is rounded to whole periods
-    of the demodulation frequency; pass ``average_time`` as a multiple of
-    the common beat period for exact rejection of every residual line.
-    """
-    validate_lock(cfg, lock)
-    nu = cfg.Omega - lock.Omega_prime
-    cutoff = lock.cutoff(cfg)
-    if nu <= cutoff:
-        raise DemodClash(
-            f"demodulation frequency {nu} inside the low-pass band ({cutoff})"
-        )
-    dt = lock.dt
-    nu_period = TWO_PI / nu
-    if settle_time is None:
-        # long enough that the filter's startup transient is below rounding
-        settle_time = 30.0 / cutoff
-    if average_time is None:
-        average_time = max(32.0 * nu_period,
-                           nu_period * math.floor((lock.duration - settle_time)
-                                                  / nu_period))
-    n_avg = max(1, int(round(average_time / dt)))
-    n_settle = int(math.ceil(settle_time / dt))
-    n = n_settle + n_avg
-    t = np.arange(n) * dt
-
-    j = mean_photocurrent(state, cfg, lock, det, t, eta)
-    ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
-    mixed = (j - dc_photocurrent(state, cfg, det, eta)) * ref
-    alpha = 1.0 - math.exp(-cutoff * dt)
-    filtered = _single_pole(mixed, alpha)
-    return float(np.mean(filtered[n_settle:]))
-
-
-def _wrap_angle(x):
-    return (x + math.pi) % TWO_PI - math.pi
-
-
-def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
-                         lock: LockConfig, det: DetectorModel,
-                         eta: float = 1.0) -> LockTrajectory:
-    """Run the discrete-time PI phase-locking loop.
+def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
+                lock: LockConfig, det: DetectorModel, eta: float, n: int):
+    """Mix, low-pass and PI-correct ``n`` steps of the phase lock.
 
     Per step: evaluate the mean photocurrent at the current common-mode
-    actuator phase (plus any disturbance), demodulate, low-pass, and apply
-    the PI law; the actuator shifts both oscillator phases equally, moving
-    phibar while leaving dphi untouched.  Raises LockFailure (with the
-    trajectory attached) when the loop has not settled onto a stable
-    extremum of the quadrature mean within the configured duration.
+    actuator phase (plus any disturbance), strip its DC part, multiply by
+    the reference ``-2 sin((Omega - Omega')t + demod_phase)``, low-pass,
+    and apply the PI law; the actuator shifts both oscillator phases
+    equally, moving phibar while leaving dphi untouched.  Zero gains give
+    the open-loop error signal.  Returns ``(t, phibar, error)``.
     """
     validate_lock(cfg, lock)
     nu = cfg.Omega - lock.Omega_prime
@@ -303,17 +239,15 @@ def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
             f"demodulation frequency {nu} inside the low-pass band ({cutoff})"
         )
 
-    n = int(round(lock.duration / lock.dt))
     t = np.arange(n) * lock.dt
 
     # Feedback-independent pieces, vectorized up front.  The actuator and
     # disturbance enter both oscillator phases as a common factor
     # exp(i psi), so the beat against the mean field is b0 exp(i psi).
     c0 = _lo_superposition_modulated(cfg, lock, t)
-    m = complex(state.mean_amplitude)
     qe = eta * det.charge
     base = qe * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
-    beat = qe * np.conj(m) * c0
+    beat = qe * np.conj(complex(state.mean_amplitude)) * c0
     ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
     if lock.disturbance is not None:
         disturb = np.asarray(lock.disturbance(t), dtype=float) * np.ones_like(t)
@@ -339,7 +273,51 @@ def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
         u = lock.kp * filt + lock.ki * integ
         phibar[k] = cfg.phibar + psi
         error[k] = filt
+    return t, phibar, error
 
+
+def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
+                 lock: LockConfig, det: DetectorModel, eta: float = 1.0,
+                 average_time: float | None = None) -> float:
+    """Demodulated DC error for the current oscillator phases.
+
+    Runs the lock open loop (zero gains, no disturbance) and averages the
+    low-passed error after a settling time of 30 filter time constants.
+    The averaging window is rounded to whole periods of the demodulation
+    frequency; pass ``average_time`` as a multiple of the common beat
+    period for exact rejection of every residual line.
+    """
+    nu_period = TWO_PI / (cfg.Omega - lock.Omega_prime)
+    # long enough that the filter's startup transient is below rounding
+    settle_time = 30.0 / lock.cutoff(cfg)
+    if average_time is None:
+        average_time = max(32.0 * nu_period,
+                           nu_period * math.floor((lock.duration - settle_time)
+                                                  / nu_period))
+    n_avg = max(1, int(round(average_time / lock.dt)))
+    n_settle = int(math.ceil(settle_time / lock.dt))
+    open_loop = replace(lock, kp=0.0, ki=0.0, disturbance=None)
+    _, _, error = _demodulate(state, cfg, open_loop, det, eta, n_settle + n_avg)
+    return float(np.mean(error[n_settle:]))
+
+
+def _wrap_angle(x):
+    return (x + math.pi) % TWO_PI - math.pi
+
+
+def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
+                         lock: LockConfig, det: DetectorModel,
+                         eta: float = 1.0) -> LockTrajectory:
+    """Run the discrete-time PI phase-locking loop for ``lock.duration``.
+
+    Raises LockFailure (with the trajectory attached) when the loop has
+    not settled onto a stable extremum of the quadrature mean within the
+    configured duration.
+    """
+    n = int(round(lock.duration / lock.dt))
+    t, phibar, error = _demodulate(state, cfg, lock, det, eta, n)
+
+    m = complex(state.mean_amplitude)
     if m == 0:
         raise LockFailure(
             "zero-mean field produces no error signal; nothing to lock to",

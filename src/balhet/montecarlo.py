@@ -91,7 +91,7 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
         raise ValueError("need at least 2 samples")
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / fs)
     s = np.asarray(psd(omega), dtype=float)
-    if np.min(s) < -_NEGATIVE_TOL:
+    if not np.min(s) >= -_NEGATIVE_TOL:
         raise NonPhysicalSpectrum(
             f"target PSD reaches {np.min(s)} on the synthesis grid"
         )
@@ -136,8 +136,11 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     """Two-sided averaged-periodogram PSD estimate.
 
     Normalized so a unit-variance white input estimates to 1 in every
-    bin.  The per-bin relative standard error is roughly
-    ``1/sqrt(n_segments)`` and is reported through ``sigma``.
+    bin.  ``sigma`` is the per-bin standard error for a Gaussian series,
+    ``psd sqrt((1 + 2 sum_j (1 - j/K) rho_j^2) / K)`` over K segments whose
+    windows overlap with correlation rho_j at a lag of j steps (Percival &
+    Walden 1993), times sqrt(2) at the DC and Nyquist bins, which have one
+    chi-square degree of freedom instead of two.
     """
     n = len(y.samples)
     m, step = cfg.segment_length, cfg.step
@@ -156,7 +159,11 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
         acc += np.abs(np.fft.fft(win * seg)) ** 2
     psd = np.fft.fftshift(acc / (n_segments * norm))
     omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=1.0 / y.sample_rate))
-    sigma = psd / np.sqrt(n_segments)
+    lags = np.arange(step, min(m, n_segments * step), step)
+    rho = np.array([np.dot(win[:m - lag], win[lag:]) for lag in lags]) / norm
+    var = (1.0 + 2.0 * np.sum((1.0 - lags / (step * n_segments)) * rho ** 2)) / n_segments
+    one_dof = np.fft.fftshift(np.isin(np.arange(m), (0, m / 2)))  # DC, even-m Nyquist
+    sigma = psd * np.sqrt(np.where(one_dof, 2.0 * var, var))
     meta = {"n_segments": n_segments, "segment_length": m,
             "overlap": cfg.overlap, "window": cfg.window,
             "sample_rate": y.sample_rate, "seed": y.seed}

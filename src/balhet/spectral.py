@@ -67,17 +67,12 @@ def frequency_grid(omega_max: float, points: int = 1001, include=()) -> np.ndarr
     return grid
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-
-
 def _check_physical(chi: np.ndarray) -> None:
-    low = float(np.min(chi))
-    if low < -PHYSICALITY_TOL:
+    low, high = float(np.min(chi)), float(np.max(chi))
+    if not (low >= -PHYSICALITY_TOL and high < np.inf):
         raise NonPhysicalSpectrum(
-            f"normalized spectrum reaches {low}, below -{PHYSICALITY_TOL}; "
-            "input quadrature spectra are inconsistent"
+            f"normalized spectrum spans [{low}, {high}], outside "
+            f"[-{PHYSICALITY_TOL}, inf); input quadrature spectra are inconsistent"
         )
 
 
@@ -93,7 +88,8 @@ def quadrature_noise_spectrum(spectra: QuadratureSpectra, phibar: float, eta: fl
     evaluated, so e.g. the anti-squeezed branch of a source at threshold
     does not poison a pure amplitude-quadrature measurement.
     """
-    _check_eta(eta)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
     c11 = np.cos(phibar) ** 2
     c22 = np.sin(phibar) ** 2
     c12 = np.sin(phibar) * np.cos(phibar)
@@ -123,7 +119,6 @@ def heterodyne_spectrum(spectra: QuadratureSpectra, cfg: HeterodyneConfig,
     with W the heterodyne offset.  Equivalently, the half-sum of the
     homodyne-normalized quadrature spectrum shifted by +/-W.
     """
-    _check_eta(eta)
     omega = np.asarray(omega_grid, dtype=float)
     s = quadrature_noise_spectrum(spectra, cfg.phibar, eta)
     chi = 0.5 * (s(omega + cfg.Omega) + s(omega - cfg.Omega))
@@ -136,7 +131,6 @@ def heterodyne_spectrum(spectra: QuadratureSpectra, cfg: HeterodyneConfig,
 def homodyne_spectrum(spectra: QuadratureSpectra, phibar: float, eta: float,
                       omega_grid) -> SpectralDensity:
     """Floor-normalized homodyne noise spectrum; the Omega -> 0 heterodyne limit."""
-    _check_eta(eta)
     omega = np.asarray(omega_grid, dtype=float)
     chi = quadrature_noise_spectrum(spectra, phibar, eta)(omega)
     _check_physical(chi)

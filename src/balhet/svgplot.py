@@ -20,7 +20,6 @@ class Panel:
     ylabel: str = ""
     series: list = field(default_factory=list)   # (x, y, label)
     points: list = field(default_factory=list)   # (x, y, label)
-    log_db: bool = False                         # plot 10*log10(y) instead of y
 
     def add_line(self, x, y, label=""):
         self.series.append((np.asarray(x, float), np.asarray(y, float), label))
@@ -52,11 +51,8 @@ def _fmt(v: float) -> str:
 
 
 def _panel_svg(panel: Panel, x0: float, y0: float, width: float, height: float):
-    def transform(y):
-        return 10.0 * np.log10(np.clip(y, 1e-12, None)) if panel.log_db else y
-
     xs = [s[0] for s in panel.series] + [p[0] for p in panel.points]
-    ys = [transform(s[1]) for s in panel.series] + [transform(p[1]) for p in panel.points]
+    ys = [s[1] for s in panel.series] + [p[1] for p in panel.points]
     if not xs:
         return []
     xlo = min(float(np.min(x)) for x in xs)
@@ -102,14 +98,12 @@ def _panel_svg(panel: Panel, x0: float, y0: float, width: float, height: float):
                    f'font-size="11" transform="rotate(-90 {cx:.1f} {cy:.1f})">'
                    f'{panel.ylabel}</text>')
     for i, (x, y, _) in enumerate(panel.series):
-        yv = transform(y)
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, yv))
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.5"/>')
     for i, (x, y, _) in enumerate(panel.points):
-        yv = transform(y)
         color = _COLORS[(i + 1) % len(_COLORS)]
-        for a, b in zip(x, yv):
+        for a, b in zip(x, y):
             out.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2" '
                        f'fill="{color}" fill-opacity="0.7"/>')
     return out

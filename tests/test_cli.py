@@ -2,9 +2,12 @@
 
 import json
 import os
+import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balhet.cli import load_config, main
 from balhet.errors import ConfigInvalid
@@ -119,6 +122,16 @@ class TestArtifacts:
         assert abs(cols["phibar"][-1]) < 1e-3
         assert (out / "lock.svg").read_text().startswith("<svg")
 
+    def test_artifacts_honour_umask(self, tmp_path):
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert run_cli("spectrum", "--out", str(out)) == 0
+        finally:
+            os.umask(old)
+        for name in ("spectrum_heterodyne.csv", "spectrum_homodyne.csv"):
+            assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
+
     def test_figure3_panels(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("figure3", "--out", str(out)) == 0
@@ -184,6 +197,33 @@ class TestExitCodes:
                        "--out", str(tmp_path / "o")) == 2
         assert run_cli("spectrum", "--config", "/missing.ini") == 2
 
+    @pytest.mark.parametrize("mode, ini, where", [
+        ("lock", "[lock]\nomega_prime = 9000\n", "[lock]"),
+        ("lock", "[lock]\ndt = 1e-3\n", "[lock]"),
+        ("lock", "[lock]\ntheta = 1.5\n", "[lock]"),
+        ("lock", "[lock]\nlowpass_cutoff = nan\n", "[lock] lowpass_cutoff"),
+        ("spectrum", "[grid]\npoints = 2\n", "[grid] points"),
+        ("figure3", "[grid]\npoints = 2\n", "[grid] points"),
+        ("spectrum", "[grid]\nomega_max = inf\n", "[grid] omega_max"),
+        ("spectrum", "[heterodyne]\nomega = nan\n", "[heterodyne] omega"),
+        ("spectrum", "[heterodyne]\nomega0 = 0.0\n", "[heterodyne]"),
+        ("montecarlo", "[montecarlo]\nsample_rate = -1\n", "[montecarlo] sample_rate"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[heterodyne]\nomega = 0\n",
+         "[heterodyne] omega"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\npoints = 0\n",
+         "[correlation] points"),
+    ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
+            "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
+            "sample_rate", "correlation_omega_zero", "correlation_points"])
+    def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert where in err
+        assert not (tmp_path / "o").exists()
+
     def test_physicality_error_is_three(self, tmp_path):
         # conjugate-quadrature Monte-Carlo with the pump at threshold needs
         # the anti-squeezed spectrum at zero frequency, which diverges
@@ -199,3 +239,27 @@ class TestExitCodes:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")
         assert run_cli("spectrum", "--out", str(blocker / "sub")) == 4
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf"]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(omega=_FLOATS, phi1=_FLOATS, amplitude=_FLOATS, omega_max=_FLOATS,
+       points=st.one_of(st.integers(-3, 3000), st.sampled_from(["nan", "inf"])))
+def test_spectrum_fails_closed(omega, phi1, amplitude, omega_max, points):
+    # any input either yields finite artifacts or a documented refusal
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "exp.ini")
+        with open(conf, "w") as handle:
+            handle.write(f"[heterodyne]\nomega = {omega}\nphi1 = {phi1}\n"
+                         f"amplitude = {amplitude}\n"
+                         f"[grid]\nomega_max = {omega_max}\npoints = {points}\n")
+        out = os.path.join(tmp, "out")
+        with np.errstate(all="ignore"):
+            code = run_cli("spectrum", "--config", conf, "--out", out)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            for name in ("spectrum_heterodyne.csv", "spectrum_homodyne.csv"):
+                _, cols = read_csv(os.path.join(out, name))
+                assert all(np.all(np.isfinite(c)) for c in cols.values())

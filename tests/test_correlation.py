@@ -35,17 +35,6 @@ class TestIntensityCorrelation:
                                                rng.uniform(0, 3), rng.uniform(-2, 2))
             assert abs(np.imag(z)) < 1e-12
 
-    def test_grid_container(self):
-        state = random_state(np.random.default_rng(5), beta=0.2)
-        cfg = bh.HeterodyneConfig(Omega=2.0, beta=0.2)
-        t = np.linspace(0, 1, 7)
-        iota = np.linspace(-1, 1, 9)
-        grid = bh.intensity_correlation_grid(state, cfg, t, iota)
-        assert grid.values.shape == (7, 9)
-        assert np.all(np.isfinite(grid.values))
-        assert grid.values[3, 4] == pytest.approx(
-            float(bh.intensity_correlation(state, cfg, t[3], iota[4])))
-
 
 class TestWickOracle:
     def test_zero_state_gives_zero(self):

@@ -75,11 +75,6 @@ class TestOpoParams:
             bh.OpoParams(gamma=1.0, epsilon=0.2, eta=1.5)
         bh.OpoParams(gamma=1.0, epsilon=0.5)  # threshold itself is allowed
 
-    def test_from_cavity(self):
-        p = bh.OpoParams.from_cavity(reflectivity=0.99, length=1.0, epsilon=1e5,
-                                     light_speed=3e8)
-        assert p.gamma == pytest.approx(0.01 * 3e8)
-
 
 class TestOpoSpectra:
     def test_frozen_values(self):

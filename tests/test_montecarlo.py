@@ -31,6 +31,11 @@ class TestSynthesis:
             bh.synthesize_quadrature(lambda w: -0.1 + 0.0 * np.asarray(w),
                                      1024, 4.0, seed=0)
 
+    def test_nan_target_rejected(self):
+        with pytest.raises(NonPhysicalSpectrum):
+            bh.synthesize_quadrature(lambda w: np.nan + 0.0 * np.asarray(w),
+                                     1024, 4.0, seed=0)
+
     def test_zero_touching_target_accepted(self):
         # squeezed floor touches zero exactly at threshold; must synthesize
         params = bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0)
@@ -83,6 +88,26 @@ class TestWelch:
         var25 = np.mean(np.var(np.array(est[25]), axis=0))
         var50 = np.mean(np.var(np.array(est[50]), axis=0))
         assert var50 / var25 == pytest.approx(0.5, abs=0.1)
+
+    def test_sigma_matches_seed_scatter(self):
+        # sigma must predict the scatter of the estimate between seeds,
+        # including the overlap correlation of the Hann segments and the
+        # single degree of freedom of the DC and Nyquist bins
+        welch = bh.WelchConfig(segment_length=64, overlap=0.5, window="hann",
+                               n_segments_min=8)
+        n = welch.total_samples(16)
+        psds, sigmas = [], []
+        for seed in range(400):
+            x = bh.TimeSeries(1.0, np.random.default_rng(seed).standard_normal(n))
+            sd = bh.welch_psd(x, welch)
+            psds.append(sd.chi_normalized)
+            sigmas.append(sd.sigma)
+        ratio = np.std(psds, axis=0, ddof=1) / np.mean(sigmas, axis=0)
+        dc, nyquist = 32, 0  # fftshift order puts -Nyquist first
+        interior = np.delete(ratio, [nyquist, dc])
+        assert np.mean(interior) == pytest.approx(1.0, abs=0.03)
+        assert ratio[dc] == pytest.approx(1.0, abs=0.10)
+        assert ratio[nyquist] == pytest.approx(1.0, abs=0.10)
 
     def test_insufficient_segments(self):
         welch = tiny_welch(segment=1024, nmin=64)

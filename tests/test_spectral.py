@@ -101,6 +101,18 @@ class TestHeterodyneSpectrum:
         with pytest.raises(NonPhysicalSpectrum):
             bh.heterodyne_spectrum(bad, cfg, 1.0, np.linspace(-2, 2, 21))
 
+    @pytest.mark.parametrize("params, cfg, omega_max", [
+        (bh.OpoParams(gamma=1.0, epsilon=0.3), bh.HeterodyneConfig(Omega=np.nan), 2.0),
+        # anti-squeezed branch at threshold: w^2 underflows and the pole
+        # evaluates to inf without any grid point at w = 0
+        (THRESHOLD_OPO, bh.HeterodyneConfig(Omega=2e-200, phi1=np.pi / 2,
+                                            phi2=np.pi / 2), 1e-200),
+    ])
+    def test_nonfinite_rejected(self, params, cfg, omega_max):
+        with pytest.raises(NonPhysicalSpectrum), np.errstate(divide="ignore"):
+            bh.heterodyne_spectrum(bh.opo_spectra(params), cfg, 1.0,
+                                   np.linspace(-omega_max, omega_max, 21))
+
     def test_eta_validation(self):
         cfg = bh.HeterodyneConfig(Omega=0.5)
         with pytest.raises(ValueError):
