@@ -287,6 +287,7 @@ def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
     frequency; pass ``average_time`` as a multiple of the common beat
     period for exact rejection of every residual line.
     """
+    validate_lock(cfg, lock)
     nu_period = TWO_PI / (cfg.Omega - lock.Omega_prime)
     # long enough that the filter's startup transient is below rounding
     settle_time = 30.0 / lock.cutoff(cfg)

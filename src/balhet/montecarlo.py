@@ -78,6 +78,27 @@ class WelchConfig:
         return self.segment_length + self.step * (n_segments - 1)
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length the FFT factors cheaply."""
+    best = 1 << (n - 1).bit_length()  # the power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# The last seeded synthesis, replaced whole as (key, PSD samples, samples),
+# so a repeat request (figure3's four panels per seed) skips the transform.
+_last = None
+
+
 def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     """Real Gaussian series with prescribed two-sided PSD.
 
@@ -85,26 +106,40 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     an even spectrum is assumed.  Circularly-symmetric Gaussian Fourier
     coefficients are drawn with variance proportional to the PSD,
     Hermitian symmetry is imposed, and the inverse transform returns a
-    real series whose averaged periodogram converges to ``psd``.
+    real series whose averaged periodogram converges to ``psd``.  The
+    series is synthesized at the next 5-smooth length and truncated to
+    ``n``; a stationary circular series stays stationary when truncated.
+    The returned samples are read-only: a repeat call with the same
+    ``n``, ``fs``, integer seed and PSD samples returns the same array.
     """
+    global _last
     if n < 2:
         raise ValueError("need at least 2 samples")
-    omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / fs)
-    s = np.asarray(psd(omega), dtype=float)
+    m = _fast_length(n)
+    s = np.asarray(psd(2.0 * np.pi * np.fft.rfftfreq(m, d=1.0 / fs)), dtype=float)
     if not np.min(s) >= -_NEGATIVE_TOL:
         raise NonPhysicalSpectrum(
             f"target PSD reaches {np.min(s)} on the synthesis grid"
         )
     s = np.clip(s, 0.0, None)
+    key = (n, fs, seed) if isinstance(seed, (int, np.integer)) else None
+    last = _last
+    if (key is not None and last is not None and last[0] == key
+            and np.array_equal(last[1], s)):
+        return TimeSeries(sample_rate=fs, samples=last[2], seed=seed)
+    _last = last = None  # free the old series before allocating the new one
 
     rng = np.random.default_rng(seed)
     re = rng.standard_normal(len(s))
     im = rng.standard_normal(len(s))
-    coef = np.sqrt(n * s / 2.0) * (re + 1j * im)
-    coef[0] = np.sqrt(n * s[0]) * re[0]  # DC bin is real
-    if n % 2 == 0:
-        coef[-1] = np.sqrt(n * s[-1]) * re[-1]  # Nyquist bin is real
-    samples = np.fft.irfft(coef, n)
+    coef = np.sqrt(m * s / 2.0) * (re + 1j * im)
+    coef[0] = np.sqrt(m * s[0]) * re[0]  # DC bin is real
+    if m % 2 == 0:
+        coef[-1] = np.sqrt(m * s[-1]) * re[-1]  # Nyquist bin is real
+    samples = np.fft.irfft(coef, m)[:n]
+    samples.flags.writeable = False
+    if key is not None:
+        _last = (key, s, samples)
     return TimeSeries(sample_rate=fs, samples=samples, seed=seed)
 
 
@@ -153,10 +188,12 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
         )
     win = _window(cfg)
     norm = m * float(np.mean(win ** 2))
-    acc = np.zeros(m)
+    acc = np.zeros(m // 2 + 1)
     for k in range(n_segments):
         seg = y.samples[k * step:k * step + m]
-        acc += np.abs(np.fft.fft(win * seg)) ** 2
+        acc += np.abs(np.fft.rfft(win * seg)) ** 2
+    # a real series has an even periodogram: mirror the negative frequencies
+    acc = np.concatenate((acc, acc[1:(m + 1) // 2][::-1]))
     psd = np.fft.fftshift(acc / (n_segments * norm))
     omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(m, d=1.0 / y.sample_rate))
     lags = np.arange(step, min(m, n_segments * step), step)

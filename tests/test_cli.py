@@ -212,13 +212,18 @@ class TestExitCodes:
          "[heterodyne] omega"),
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\npoints = 0\n",
          "[correlation] points"),
+        ("montecarlo", "[run]\nseed = -1\n", "[run] seed"),
+        ("montecarlo --seed -1", "", "[run] seed"),
+        ("lock", "[lock]\nlowpass_cutoff = 900\n", "[lock] lowpass_cutoff"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
-            "sample_rate", "correlation_omega_zero", "correlation_points"])
+            "sample_rate", "correlation_omega_zero", "correlation_points",
+            "seed_negative", "seed_override_negative", "demod_clash"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
-        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        assert run_cli(*mode.split(), "--config", str(conf),
+                       "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert where in err
@@ -239,6 +244,31 @@ class TestExitCodes:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")
         assert run_cli("spectrum", "--out", str(blocker / "sub")) == 4
+
+
+@pytest.mark.parametrize("argv, ini, artifacts", [
+    (["figure3"], None, ["figure3_a.csv", "figure3_b.csv", "figure3_c.csv",
+                         "figure3_d.csv", "figure3.svg"]),
+    (["spectrum", "--svg"], None,
+     ["spectrum_heterodyne.csv", "spectrum_homodyne.csv", "spectrum.svg"]),
+    (["montecarlo", "--seed", "7"], "[montecarlo]\nsegments = 24\nsegment_length = 512\n",
+     ["montecarlo.csv", "montecarlo_analytic.csv", "montecarlo_manifest.json"]),
+    (["correlation"], "[opo]\nepsilon = 0.3\n", ["correlation.csv"]),
+    (["lock", "--svg"], None, ["lock_trajectory.csv", "lock_summary.json", "lock.svg"]),
+], ids=["figure3", "spectrum", "montecarlo", "correlation", "lock"])
+def test_readme_commands(tmp_path, capsys, argv, ini, artifacts):
+    # each "## Command line" invocation of the README, at shipped defaults
+    out = tmp_path / "out"
+    if ini is not None:
+        (tmp_path / "below.ini").write_text(ini)
+        argv = [*argv, "--config", str(tmp_path / "below.ini")]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out.split() == [str(out / name) for name in artifacts]
+    for name in artifacts:
+        assert (out / name).stat().st_size > 0
+        if name.endswith(".csv"):
+            _, cols = read_csv(str(out / name))
+            assert all(np.all(np.isfinite(c)) for c in cols.values())
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf"]))

@@ -158,6 +158,12 @@ class TestErrorSignal:
         with pytest.raises(ValueError):  # depth outside the sideband picture
             bh.error_signal(STATE, het_config(), lock_config(theta=1.5), DET)
 
+    def test_modulation_at_beat_rejected(self):
+        # the lock check runs before the step count divides by Omega - Omega'
+        with pytest.raises(ValueError, match="below the heterodyne offset"):
+            bh.error_signal(STATE, het_config(),
+                            bh.LockConfig(Omega_prime=TWO_PI * F_HET), DET)
+
 
 class TestClosedLoop:
     def test_lock_from_standard_offset(self):

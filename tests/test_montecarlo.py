@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import balhet as bh
+from balhet import montecarlo
+from balhet.cli import main
 from balhet.errors import AliasRisk, InsufficientData, NonPhysicalSpectrum
 
 WHITE = lambda w: np.ones_like(np.asarray(w, dtype=float))
@@ -44,7 +46,105 @@ class TestSynthesis:
         assert np.all(np.isfinite(x.samples))
 
 
+@pytest.fixture
+def irfft_calls(monkeypatch):
+    """Counts the inverse transforms, i.e. the syntheses the memo did not skip."""
+    calls = []
+    irfft = np.fft.irfft
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    monkeypatch.setattr(montecarlo, "_last", None)
+    return calls
+
+
+class TestSynthesisLength:
+    def test_fast_length_matches_scipy(self):
+        from scipy.fft import next_fast_len
+        for n in [*range(2, 5000), 1_642_496]:
+            assert montecarlo._fast_length(n) == next_fast_len(n, real=True)
+
+    @pytest.mark.parametrize("n", [1001, 4099, 4000], ids=["odd", "prime", "smooth"])
+    def test_returns_exactly_n(self, irfft_calls, n):
+        x = bh.synthesize_quadrature(WHITE, n, 4.0, seed=12)
+        assert len(x.samples) == n
+        assert irfft_calls == [montecarlo._fast_length(n)]
+
+
+class TestSynthesisMemo:
+    BASE = dict(psd=WHITE, n=1000, fs=4.0, seed=3)
+
+    def test_repeat_call_hits(self, irfft_calls):
+        a = bh.synthesize_quadrature(**self.BASE)
+        b = bh.synthesize_quadrature(**{**self.BASE, "seed": np.int64(3)})
+        assert len(irfft_calls) == 1
+        assert not b.samples.flags.writeable
+        assert b.samples.tobytes() == a.samples.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 4},
+        {"n": 999},  # same 5-smooth synthesis length as n = 1000
+        {"fs": 2.0},  # same samples of the white PSD
+        {"psd": lambda w: np.where(np.asarray(w) == 0.0, np.nextafter(1.0, 2.0), 1.0)},
+    ], ids=["seed", "n", "fs", "psd"])
+    def test_any_change_misses(self, irfft_calls, change):
+        bh.synthesize_quadrature(**self.BASE)
+        bh.synthesize_quadrature(**{**self.BASE, **change})
+        bh.synthesize_quadrature(**self.BASE)  # one entry: evicted by the change
+        assert len(irfft_calls) == 3
+
+    def test_unseeded_never_memoized(self, irfft_calls):
+        a = bh.synthesize_quadrature(**{**self.BASE, "seed": None})
+        b = bh.synthesize_quadrature(**{**self.BASE, "seed": None})
+        assert not np.array_equal(a.samples, b.samples)
+        rng = np.random.default_rng(5)
+        c = bh.synthesize_quadrature(**{**self.BASE, "seed": rng})
+        d = bh.synthesize_quadrature(**{**self.BASE, "seed": rng})
+        assert not np.array_equal(c.samples, d.samples)
+        assert len(irfft_calls) == 4
+
+    def test_memo_changes_no_figure3_output(self, tmp_path, monkeypatch, irfft_calls):
+        conf = tmp_path / "exp.ini"
+        conf.write_text("[montecarlo]\noverlay_seeds = 2\nsegments = 24\n"
+                        "segment_length = 1024\nn_segments_min = 8\n")
+        assert main(["figure3", "--config", str(conf),
+                     "--out", str(tmp_path / "memo")]) == 0
+        assert len(irfft_calls) == 2  # one synthesis per seed for four panels
+        synthesize = montecarlo.synthesize_quadrature
+
+        def cold(*args, **kwargs):
+            montecarlo._last = None
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "synthesize_quadrature", cold)
+        assert main(["figure3", "--config", str(conf),
+                     "--out", str(tmp_path / "cold")]) == 0
+        assert len(irfft_calls) == 2 + 8
+        for name in ("figure3_a.csv", "figure3_d.csv", "figure3.svg"):
+            assert ((tmp_path / "memo" / name).read_bytes()
+                    == (tmp_path / "cold" / name).read_bytes())
+
+
 class TestWelch:
+    @pytest.mark.parametrize("m", [256, 255])
+    def test_matches_complex_fft_reference(self, m):
+        welch = bh.WelchConfig(segment_length=m, overlap=0.5, window="hann",
+                               n_segments_min=8)
+        n_seg = 20
+        x = bh.TimeSeries(4.0, np.random.default_rng(m).standard_normal(
+            welch.total_samples(n_seg)))
+        psd = bh.welch_psd(x, welch).chi_normalized
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(m) / m)
+        segments = [x.samples[k * welch.step:k * welch.step + m] for k in range(n_seg)]
+        ref = np.mean([np.abs(np.fft.fft(win * seg)) ** 2 for seg in segments], axis=0)
+        ref = np.fft.fftshift(ref / (m * np.mean(win ** 2)))
+        np.testing.assert_allclose(psd, ref, rtol=1e-12, atol=0.0)
+        dc, k = m // 2, np.arange(1, (m + 1) // 2)
+        assert np.array_equal(psd[dc + k], psd[dc - k])
+
     def test_white_floor_level(self):
         welch = tiny_welch()
         n = welch.total_samples(200)
