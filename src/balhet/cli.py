@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .correlation import lambda_prime, lambda_prime_quadrature_form, time_average_reduce
+from .correlation import (MIN_BEAT_PERIODS, lambda_prime, lambda_prime_quadrature_form,
+                          time_average_reduce)
 from .errors import BalhetError, ConfigInvalid
 from .field import HeterodyneConfig, OpoParams, coherent_state, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate, validate_lock
-from .montecarlo import WelchConfig, monte_carlo_heterodyne, monte_carlo_homodyne
+from .montecarlo import ALIAS_FRACTION, WelchConfig, monte_carlo_heterodyne, monte_carlo_homodyne
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
 from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form)
@@ -163,11 +164,23 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     grid_omega_max = f("grid", "omega_max", _POSITIVE)
     grid_points = i("grid", "points", (lambda v: v >= 3, "at least 3"))
     mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
-    mc_segments = i("montecarlo", "segments")
     overlay_seeds = i("montecarlo", "overlay_seeds")
+    uses_mc = eff_mode == "montecarlo" or (eff_mode == "figure3" and (overlay_seeds or 0) > 0)
+    n_min = welch.n_segments_min if uses_mc and welch else None
+    mc_segments = i("montecarlo", "segments",
+                    n_min and (lambda v: v >= n_min, f"at least n_segments_min = {n_min}"))
+    limit = ALIAS_FRACTION * 2.0 * math.pi * (mc_sample_rate or math.inf)
+    if eff_mode == "montecarlo" and het is not None and not het.Omega < limit:
+        errors.append(f"[heterodyne] omega: must lie below the alias limit {limit}")
+    top = max(FIGURE3_RATIOS.values())
+    if uses_mc and eff_mode == "figure3" and opo is not None and not top * opo.gamma < limit:
+        errors.append(f"[opo] gamma: {top} * gamma must lie below the alias limit {limit}")
     correlation_iota_max = f("correlation", "iota_max")
     correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
-    correlation_periods = f("correlation", "averaging_periods")
+    # T = averaging_periods * pi / omega, so the rule counts half beat periods
+    half = 2 * MIN_BEAT_PERIODS if eff_mode == "correlation" else None
+    correlation_periods = f("correlation", "averaging_periods",
+                            half and (lambda v: v >= half, f"at least {half}"))
 
     phibar0 = f("lock", "phibar0")
     dist_amp = f("lock", "disturbance_amplitude")

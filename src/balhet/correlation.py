@@ -30,6 +30,9 @@ from .field import GaussianFieldState, HeterodyneConfig, gammas_to_quadrature_co
 # Samples per beat period used by the time-average quadrature.
 _STEPS_PER_PERIOD = 50
 
+# time_average_reduce needs a window of at least this many beat periods.
+MIN_BEAT_PERIODS = 10
+
 
 def _lo_superposition(cfg: HeterodyneConfig, t):
     """Rotating-frame local-oscillator sum E (e^{-iWt+i phi1} + e^{+iWt+i phi2})."""
@@ -241,15 +244,15 @@ def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
     Uses a uniform composite trapezoid with at least ``_STEPS_PER_PERIOD``
     samples per beat period, which resolves the oscillating terms and
     integrates them to zero exactly when T is a whole number of
-    half-periods.  Requires T >= 10 beat periods.
+    half-periods.  Requires T >= ``MIN_BEAT_PERIODS`` beat periods.
     """
     if cfg.Omega <= 0:
         raise ValueError("time averaging needs a positive heterodyne offset")
     period = 2.0 * np.pi / cfg.Omega
-    if T < 10.0 * period:
-        raise InsufficientAveraging(
-            f"averaging window T = {T} shorter than 10 beat periods ({10 * period})"
-        )
+    # a few ulps of slack: T = 20 pi / Omega is exactly ten beat periods
+    if T < MIN_BEAT_PERIODS * period * (1.0 - 4.0 * np.finfo(float).eps):
+        raise InsufficientAveraging(f"averaging window T = {T} shorter than {MIN_BEAT_PERIODS}"
+                                    f" beat periods ({MIN_BEAT_PERIODS * period})")
     n = int(np.ceil(T / (period / _STEPS_PER_PERIOD)))
     t = np.linspace(0.0, T, n + 1)
     values = intensity_correlation(state, cfg, t, iota)

@@ -26,6 +26,13 @@ WINDOWS = ("hann", "rectangular")
 # Negative PSD values beyond this are rejected rather than clipped.
 _NEGATIVE_TOL = 1e-12
 
+# The beat offset must stay below this fraction of the sampling rate.
+ALIAS_FRACTION = 0.4
+# Samples per carrier block in the beat, and per batched Welch rfft
+# (segments x segment length), so that one windowed batch stays in cache.
+_BEAT_BLOCK = 4096
+_WELCH_BATCH_SAMPLES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -40,14 +47,6 @@ class TimeSeries:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if len(self.samples) < 2:
             raise ValueError("need at least 2 samples")
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.samples)) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -148,14 +147,27 @@ def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> T
 
     The sqrt(2) gain makes the modulation floor-preserving: the time
     average of 2 cos^2 is 1, so a unit-floor input stays at unit floor.
+    The carrier is tabulated once over one block and rotated to each
+    block's start phase, which is computed directly, so rounding does
+    not accumulate from block to block.
     """
-    if Omega >= 0.4 * 2.0 * np.pi * x.sample_rate:
+    fs = x.sample_rate
+    if Omega >= ALIAS_FRACTION * 2.0 * np.pi * fs:
         raise AliasRisk(
             f"Omega = {Omega} too close to the sampling band "
-            f"(limit {0.4 * 2 * np.pi * x.sample_rate})"
+            f"(limit {ALIAS_FRACTION * 2.0 * np.pi * fs})"
         )
-    y = np.sqrt(2.0) * np.cos(Omega * x.times + dphi) * x.samples
-    return TimeSeries(sample_rate=x.sample_rate, samples=y, seed=x.seed)
+    n = len(x.samples)
+    b = min(_BEAT_BLOCK, n)
+    arg = Omega * (np.arange(b) / fs)
+    c, s = np.sqrt(2.0) * np.cos(arg), np.sqrt(2.0) * np.sin(arg)
+    theta = Omega * (np.arange(0, n, b) / fs) + dphi
+    y = np.empty(n)
+    for j, ct, st in zip(range(0, n, b), np.cos(theta), np.sin(theta)):
+        k = min(b, n - j)
+        np.subtract(ct * c[:k], st * s[:k], out=y[j:j + k])
+    y *= x.samples
+    return TimeSeries(sample_rate=fs, samples=y, seed=x.seed)
 
 
 def _window(cfg: WelchConfig) -> np.ndarray:
@@ -189,9 +201,13 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     win = _window(cfg)
     norm = m * float(np.mean(win ** 2))
     acc = np.zeros(m // 2 + 1)
-    for k in range(n_segments):
-        seg = y.samples[k * step:k * step + m]
-        acc += np.abs(np.fft.rfft(win * seg)) ** 2
+    segments = np.lib.stride_tricks.sliding_window_view(y.samples, m)[::step][:n_segments]
+    batch = max(1, _WELCH_BATCH_SAMPLES // m)
+    for k in range(0, n_segments, batch):
+        # rows are added one at a time, in segment order, as a per-segment
+        # loop would: the estimate does not depend on the batch size
+        for row in np.abs(np.fft.rfft(win * segments[k:k + batch])) ** 2:
+            acc += row
     # a real series has an even periodogram: mirror the negative frequencies
     acc = np.concatenate((acc, acc[1:(m + 1) // 2][::-1]))
     psd = np.fft.fftshift(acc / (n_segments * norm))

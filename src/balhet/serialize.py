@@ -65,29 +65,25 @@ def write_spectral_csv(path: str, sd: SpectralDensity, extra_meta: dict | None =
         meta.update(extra_meta)
     if "config_hash" not in meta:
         meta["config_hash"] = config_hash(dict(sd.config_snapshot))
-    lines = _meta_lines(SPECTRAL_SCHEMA, meta)
-    if sd.sigma is None:
-        lines.append("omega,chi_normalized")
-        for w, chi in zip(sd.omega_grid, sd.chi_normalized):
-            lines.append(f"{_FLOAT_FORMAT.format(w)},{_FLOAT_FORMAT.format(chi)}")
-    else:
-        lines.append("omega,chi_normalized,sigma")
-        for w, chi, s in zip(sd.omega_grid, sd.chi_normalized, sd.sigma):
-            lines.append(",".join(_FLOAT_FORMAT.format(v) for v in (w, chi, s)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    columns = {"omega": sd.omega_grid, "chi_normalized": sd.chi_normalized}
+    if sd.sigma is not None:
+        columns["sigma"] = sd.sigma
+    _write_rows(path, _meta_lines(SPECTRAL_SCHEMA, meta), columns)
 
 
 def write_table_csv(path: str, columns: dict, meta: dict | None = None) -> None:
     """Serialize named float columns of equal length with metadata header."""
-    names = list(columns)
-    arrays = [np.asarray(columns[name], dtype=float) for name in names]
-    length = len(arrays[0])
-    if any(len(a) != length for a in arrays):
+    _write_rows(path, _meta_lines(TABLE_SCHEMA, meta or {}), columns)
+
+
+def _write_rows(path: str, lines: list[str], columns: dict) -> None:
+    """Append a header and one formatted row per index, then write."""
+    arrays = [np.asarray(a, dtype=float) for a in columns.values()]
+    if any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("all columns must have the same length")
-    lines = _meta_lines(TABLE_SCHEMA, meta or {})
-    lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(_FLOAT_FORMAT.format(a[i]) for a in arrays))
+    row = ",".join([_FLOAT_FORMAT] * len(arrays))
+    lines.append(",".join(columns))
+    lines.extend(map(row.format, *(a.tolist() for a in arrays)))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

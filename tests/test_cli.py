@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from balhet.cli import load_config, main
 from balhet.errors import ConfigInvalid
-from balhet.serialize import read_csv
+from balhet.serialize import read_csv, write_table_csv
 
 
 def run_cli(*args):
@@ -83,6 +83,15 @@ class TestArtifacts:
         assert lines[header_index] == "omega,chi_normalized"
         assert any(l.startswith("# config_hash: ") for l in lines[:header_index])
         assert any(l.startswith("# normalization: heterodyne_floor") for l in lines)
+
+    def test_rows_format_each_value(self, tmp_path):
+        # the row template must render every float exactly as formatting
+        # the numpy scalar on its own does, special values included
+        a = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e308])
+        b = np.linspace(-3.0, 3.0, len(a)) ** 7
+        write_table_csv(str(tmp_path / "t.csv"), {"a": a, "b": b})
+        rows = (tmp_path / "t.csv").read_text().splitlines()[3:]
+        assert rows == [f"{x:.12e},{y:.12e}" for x, y in zip(a, b)]
 
     def test_montecarlo_has_sigma_column(self, tmp_path):
         out = tmp_path / "out"
@@ -215,10 +224,23 @@ class TestExitCodes:
         ("montecarlo", "[run]\nseed = -1\n", "[run] seed"),
         ("montecarlo --seed -1", "", "[run] seed"),
         ("lock", "[lock]\nlowpass_cutoff = 900\n", "[lock] lowpass_cutoff"),
+        ("montecarlo", "[heterodyne]\nomega = 30\n", "[heterodyne] omega"),
+        ("figure3", "[opo]\ngamma = 12\n[montecarlo]\noverlay_seeds = 1\n",
+         "[opo] gamma"),
+        ("montecarlo", "[montecarlo]\nsegments = 8\n", "[montecarlo] segments"),
+        ("figure3", "[montecarlo]\nsegments = 8\noverlay_seeds = 1\n",
+         "[montecarlo] segments"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 10\n",
+         "[correlation] averaging_periods"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 19.9\n",
+         "[correlation] averaging_periods"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "sample_rate", "correlation_omega_zero", "correlation_points",
-            "seed_negative", "seed_override_negative", "demod_clash"])
+            "seed_negative", "seed_override_negative", "demod_clash",
+            "montecarlo_alias", "figure3_overlay_alias", "segments_below_min",
+            "figure3_overlay_segments", "averaging_periods_10",
+            "averaging_periods_19_9"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
@@ -228,6 +250,20 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert where in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, ini", [
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 20\n"
+                        "points = 21\n"),
+        ("spectrum", "[heterodyne]\nomega = 30\n[montecarlo]\nsegments = 8\n"
+                     "[correlation]\naveraging_periods = 10\n"),
+        ("figure3", "[opo]\ngamma = 12\n[montecarlo]\nsegments = 8\n"),
+    ], ids=["averaging_periods_20", "spectrum_ignores_mc_rules", "figure3_no_overlay"])
+    def test_load_time_rules_admit(self, tmp_path, mode, ini):
+        # ten beat periods exactly is enough; the Monte-Carlo and averaging
+        # rules bind only the modes that run those stages
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 0
 
     def test_physicality_error_is_three(self, tmp_path):
         # conjugate-quadrature Monte-Carlo with the pump at threshold needs

@@ -169,6 +169,15 @@ class TestTimeAverage:
         with pytest.raises(InsufficientAveraging):
             bh.time_average_reduce(state, cfg, 0.1, T=5 * np.pi)
 
+    def test_exactly_ten_periods_accepted(self):
+        # 20 pi / Omega rounds one ulp below 10 * (2 pi / Omega) at Omega = 0.05
+        state = random_state(np.random.default_rng(40))
+        cfg = bh.HeterodyneConfig(Omega=0.05, amplitude=1.0)
+        assert 20 * np.pi / cfg.Omega < 10 * (2 * np.pi / cfg.Omega)
+        bh.time_average_reduce(state, cfg, 0.1, T=20 * np.pi / cfg.Omega)
+        with pytest.raises(InsufficientAveraging):
+            bh.time_average_reduce(state, cfg, 0.1, T=19.9 * np.pi / cfg.Omega)
+
 
 class TestSpectralConsistency:
     def test_transform_of_lambda_prime_matches_engine(self):

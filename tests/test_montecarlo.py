@@ -145,6 +145,23 @@ class TestWelch:
         dc, k = m // 2, np.arange(1, (m + 1) // 2)
         assert np.array_equal(psd[dc + k], psd[dc - k])
 
+    @pytest.mark.parametrize("m, n_seg", [(4096, 13), (8192, 9), (16384, 13)])
+    def test_batched_equals_segment_loop(self, m, n_seg):
+        # one partial batch, one full batch plus one, several plus a remainder;
+        # read-only input, as a synthesis memo hit hands it over
+        welch = bh.WelchConfig(segment_length=m, overlap=0.5, window="hann",
+                               n_segments_min=8)
+        samples = np.random.default_rng(m).standard_normal(welch.total_samples(n_seg))
+        samples.flags.writeable = False
+        psd = bh.welch_psd(bh.TimeSeries(4.0, samples), welch).chi_normalized
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(m) / m)
+        acc = np.zeros(m // 2 + 1)
+        for k in range(n_seg):
+            acc += np.abs(np.fft.rfft(win * samples[k * welch.step:k * welch.step + m])) ** 2
+        acc = np.concatenate((acc, acc[1:(m + 1) // 2][::-1]))
+        ref = np.fft.fftshift(acc / (n_seg * (m * float(np.mean(win ** 2)))))
+        assert np.array_equal(psd, ref)
+
     def test_white_floor_level(self):
         welch = tiny_welch()
         n = welch.total_samples(200)
@@ -256,6 +273,18 @@ class TestModulation:
         p1 = bh.welch_psd(bh.synthesize_photocurrent(x, 2.0, 1.1), welch)
         assert abs(np.mean(p0.chi_normalized) - np.mean(p1.chi_normalized)) < 0.01
         assert np.mean(np.abs(p0.chi_normalized - p1.chi_normalized)) < 0.08
+
+    @pytest.mark.parametrize("n", [3 * 4096 + 17, 100])
+    @pytest.mark.parametrize("Omega", [0.05, 0.5, 5.0])
+    def test_beat_matches_direct_formula(self, Omega, n):
+        # the blocked carrier against sqrt(2) cos(Omega t + dphi) x, over
+        # several blocks with a ragged tail and within one short block
+        fs, dphi = 10.0, 0.7
+        x = bh.TimeSeries(fs, np.random.default_rng(n).standard_normal(n))
+        y = bh.synthesize_photocurrent(x, Omega, dphi).samples
+        ref = np.sqrt(2) * np.cos(Omega * (np.arange(n) / fs) + dphi) * x.samples
+        assert len(y) == n
+        assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(x.samples))
 
     def test_alias_guard(self):
         x = bh.synthesize_quadrature(WHITE, 1024, 1.0, seed=8)
