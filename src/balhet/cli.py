@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -28,31 +29,10 @@ from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form)
 from .svgplot import Panel, write_svg
 
-MODES = ("spectrum", "montecarlo", "correlation", "lock", "figure3")
-
 FIGURE3_RATIOS = {"a": 0.05, "b": 0.5, "c": 5.0}
 
-DEFAULTS = {
-    "run": {"mode": "spectrum", "seed": "12345", "out": "out"},
-    "opo": {"gamma": "1.0", "epsilon": "0.5", "eta": "1.0"},
-    "heterodyne": {"omega": "0.05", "phi1": "0.0", "phi2": "0.0",
-                   "beta": "0.0", "amplitude": "1.0"},
-    "grid": {"omega_max": "3.0", "points": "1001"},
-    "montecarlo": {"sample_rate": "10.0", "segment_length": "8192",
-                   "overlap": "0.5", "window": "hann",
-                   "n_segments_min": "16", "segments": "400",
-                   "overlay_seeds": "0"},
-    "correlation": {"iota_max": "10.0", "points": "201",
-                    "averaging_periods": "40"},
-    "lock": {"omega": str(2.0 * math.pi * 1280.0),
-             "omega_prime": str(2.0 * math.pi * 1152.0),
-             "amplitude": "0.1", "theta": "0.2", "demod_phase": "0.0",
-             "lowpass_cutoff": "", "kp": "0.0", "ki": "1000.0",
-             "dt": str(2.0 ** -15), "duration": "0.5",
-             "phibar0": "0.3", "mean_real": "1.0", "mean_imag": "0.0",
-             "disturbance_amplitude": "0.0", "disturbance_omega": "0.0",
-             "lock_tolerance": "1e-3"},
-}
+# The annotated reference configuration is the table of every key and its default.
+REFERENCE_INI = os.path.join(os.path.dirname(__file__), "reference.ini")
 
 
 @dataclass
@@ -85,16 +65,16 @@ class ExperimentConfig:
 
 def _parser_with_defaults(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read_dict(DEFAULTS)
-    if path is not None:
-        read = parser.read(path)
-        if not read:
-            raise ConfigInvalid(f"config file not found: {path}")
+    with open(REFERENCE_INI, encoding="utf-8") as handle:  # missing only in a broken install
+        parser.read_file(handle)
+    known = {section: set(parser[section]) for section in parser.sections()}
+    if path is not None and not parser.read(path):
+        raise ConfigInvalid(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in known:
             raise ConfigInvalid(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in DEFAULTS[section]:
+            if key not in known[section]:
                 raise ConfigInvalid(f"unknown key '{key}' in section [{section}]")
     return parser
 
@@ -128,8 +108,8 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     i = lambda s, k, rule=None: _get(parser, s, k, int, errors, rule)
 
     eff_mode = mode or parser.get("run", "mode")
-    if eff_mode not in MODES:
-        errors.append(f"[run] mode must be one of {MODES}, got {eff_mode!r}")
+    if eff_mode not in RUNNERS:
+        errors.append(f"[run] mode must be one of {tuple(RUNNERS)}, got {eff_mode!r}")
     eff_seed = seed if seed is not None else i("run", "seed")
     if eff_seed is not None and eff_seed < 0:
         errors.append(f"[run] seed: must be non-negative, got {eff_seed}")
@@ -164,7 +144,7 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     grid_omega_max = f("grid", "omega_max", _POSITIVE)
     grid_points = i("grid", "points", (lambda v: v >= 3, "at least 3"))
     mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
-    overlay_seeds = i("montecarlo", "overlay_seeds")
+    overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
     uses_mc = eff_mode == "montecarlo" or (eff_mode == "figure3" and (overlay_seeds or 0) > 0)
     n_min = welch.n_segments_min if uses_mc and welch else None
     mc_segments = i("montecarlo", "segments",
@@ -241,7 +221,6 @@ def _sine_disturbance(amplitude: float, omega: float):
 
 
 def _out(cfg: ExperimentConfig, name: str) -> str:
-    import os
     return os.path.join(cfg.out, name)
 
 
@@ -414,7 +393,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"balhet {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode in RUNNERS:
         p = sub.add_parser(mode, help=f"run the {mode} pipeline")
         p.add_argument("--config", default=None, help="INI configuration file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed override")
@@ -433,9 +412,6 @@ def main(argv=None) -> int:
         return 2
     try:
         paths = RUNNERS[cfg.mode](cfg, svg=args.svg)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except BalhetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -142,9 +142,11 @@ def validate_lock(cfg: HeterodyneConfig, lock: LockConfig) -> None:
         raise ValueError(
             f"dt = {lock.dt} too coarse; need dt < {TWO_PI / (20 * cfg.Omega)}"
         )
-    trunc = bessel_truncation(lock.theta)
-    power_defect = abs(trunc.j0 ** 2 + 2.0 * trunc.j1 ** 2 - 1.0)
-    if power_defect >= TRUNCATION_POWER_TOL:
+    # The residual is the left-out power plus the series' own error, so an
+    # inaccurate series (theta beyond ~30) or one that overflows is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        power_defect = bessel_truncation(lock.theta).residual
+    if not power_defect < TRUNCATION_POWER_TOL:
         raise ValueError(
             f"modulation depth {lock.theta} leaves {power_defect:.3f} of the "
             "sideband power outside the two-sideband picture"

@@ -1,15 +1,17 @@
 """CLI: config validation, artifact schemas, determinism, exit codes."""
 
+import configparser
 import json
+import math
 import os
 import stat
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from balhet.cli import load_config, main
+from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
 from balhet.errors import ConfigInvalid
 from balhet.serialize import read_csv, write_table_csv
 
@@ -234,13 +236,18 @@ class TestExitCodes:
          "[correlation] averaging_periods"),
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 19.9\n",
          "[correlation] averaging_periods"),
+        ("spectrum", "[lock]\ntheta = 400\n", "[lock]"),
+        ("lock", "[lock]\ntheta = 400\n", "[lock]"),
+        ("lock", "[lock]\ntheta = 40.5980000000094\n", "[lock]"),
+        ("figure3", "[montecarlo]\noverlay_seeds = -2\n", "[montecarlo] overlay_seeds"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "sample_rate", "correlation_omega_zero", "correlation_points",
             "seed_negative", "seed_override_negative", "demod_clash",
             "montecarlo_alias", "figure3_overlay_alias", "segments_below_min",
             "figure3_overlay_segments", "averaging_periods_10",
-            "averaging_periods_19_9"])
+            "averaging_periods_19_9", "theta_overflow", "theta_overflow_lock",
+            "overlay_seeds_negative", "theta_inaccurate_series"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
@@ -329,3 +336,32 @@ def test_spectrum_fails_closed(omega, phi1, amplitude, omega_max, points):
             for name in ("spectrum_heterodyne.csv", "spectrum_homodyne.csv"):
                 _, cols = read_csv(os.path.join(out, name))
                 assert all(np.all(np.isfinite(c)) for c in cols.values())
+
+
+_REFERENCE = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+_REFERENCE.read(REFERENCE_INI)
+_REFERENCE_KEYS = [(section, key) for section in _REFERENCE.sections()
+                   for key in _REFERENCE[section]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from([*RUNNERS, None]), entry=st.sampled_from(_REFERENCE_KEYS),
+       value=st.one_of(st.floats(), st.integers(),
+                       st.sampled_from(["nan", "inf", "-inf", "", "text"])))
+@example(mode="spectrum", entry=("lock", "theta"), value=400)
+@example(mode="figure3", entry=("montecarlo", "overlay_seeds"), value=-2)
+def test_reference_keys_load_or_refuse(mode, entry, value):
+    # every key of the reference configuration, in every mode: a value is
+    # either a documented refusal or a config with no negative seed or
+    # replicate count and no non-finite number
+    section, key = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "exp.ini")
+        with open(conf, "w") as handle:
+            handle.write(f"[{section}]\n{key} = {value}\n")
+        try:
+            cfg = load_config(conf, mode=mode)
+        except ConfigInvalid:
+            return
+    assert cfg.seed >= 0 and cfg.overlay_seeds >= 0
+    assert all(math.isfinite(v) for v in vars(cfg).values() if isinstance(v, float))
