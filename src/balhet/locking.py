@@ -40,6 +40,9 @@ TWO_PI = 2.0 * math.pi
 # Retained power of the three-line sideband truncation must be this close
 # to unity for the small-depth expansion to be trusted.
 TRUNCATION_POWER_TOL = 0.05
+# Lock-loop steps per block of vectorized, feedback-independent inputs: a
+# multiple of every SIMD width, so each input rounds as in one full array.
+_LOCK_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,9 @@ class LockConfig:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        if not self.duration >= self.dt:
+            raise ValueError(f"duration must be at least dt = {self.dt}, "
+                             f"got {self.duration}")
 
     def cutoff(self, cfg: HeterodyneConfig) -> float:
         if self.lowpass_cutoff is not None:
@@ -200,6 +204,7 @@ def error_line_prediction(state: GaussianFieldState, cfg: HeterodyneConfig,
 
     whose coefficient at exp(+i nu t) is returned.
     """
+    validate_lock(cfg, lock)
     j1 = _bessel_series(1, lock.theta)
     slope = quadrature_mean_slope(state, cfg.phibar)
     amp = -2.0 * eta * det.charge * cfg.amplitude * j1 * slope
@@ -241,41 +246,49 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
             f"demodulation frequency {nu} inside the low-pass band ({cutoff})"
         )
 
-    t = np.arange(n) * lock.dt
-
-    # Feedback-independent pieces, vectorized up front.  The actuator and
-    # disturbance enter both oscillator phases as a common factor
-    # exp(i psi), so the beat against the mean field is b0 exp(i psi).
-    c0 = _lo_superposition_modulated(cfg, lock, t)
+    # The feedback-independent pieces are vectorized one block at a time,
+    # so the loop holds only its three returned arrays plus one block.  The
+    # actuator and disturbance enter both oscillator phases as a common
+    # factor exp(i psi), so the beat against the mean field is b0 exp(i psi)
+    # and 2 Re(b0 exp(i psi)) = 2 (br cos psi - bi sin psi), rounded as
+    # complex multiplication rounds it.
     qe = eta * det.charge
-    base = qe * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
-    beat = qe * np.conj(complex(state.mean_amplitude)) * c0
-    ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
-    if lock.disturbance is not None:
-        disturb = np.asarray(lock.disturbance(t), dtype=float) * np.ones_like(t)
-    else:
-        disturb = np.zeros_like(t)
-
+    mean_conj = qe * np.conj(complex(state.mean_amplitude))
     alpha = 1.0 - math.exp(-cutoff * lock.dt)
-    base_l = base.tolist()
-    beat_l = beat.tolist()
-    ref_l = ref.tolist()
-    dist_l = disturb.tolist()
+    dt, kp, ki, phibar0 = lock.dt, lock.kp, lock.ki, cfg.phibar
+    cos, sin = math.cos, math.sin
 
     phibar = np.empty(n)
     error = np.empty(n)
     u = 0.0
     integ = 0.0
     filt = 0.0
-    for k in range(n):
-        psi = u + dist_l[k]
-        j_ac = base_l[k] + 2.0 * (beat_l[k] * cmath.exp(1j * psi)).real
-        filt += alpha * (j_ac * ref_l[k] - filt)
-        integ += filt * lock.dt
-        u = lock.kp * filt + lock.ki * integ
-        phibar[k] = cfg.phibar + psi
-        error[k] = filt
-    return t, phibar, error
+    for j in range(0, n, _LOCK_BLOCK):
+        k = min(_LOCK_BLOCK, n - j)
+        t = np.arange(j, j + k) * dt
+        c0 = _lo_superposition_modulated(cfg, lock, t)
+        base = qe * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
+        beat = mean_conj * c0
+        ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
+        if lock.disturbance is not None:
+            disturb = np.asarray(lock.disturbance(t), dtype=float) * np.ones_like(t)
+        else:
+            disturb = np.zeros_like(t)
+        phibar_b = []
+        error_b = []
+        for b, br, bi, r, d in zip(base.tolist(), beat.real.tolist(),
+                                   beat.imag.tolist(), ref.tolist(),
+                                   disturb.tolist()):
+            psi = u + d
+            j_ac = b + 2.0 * (br * cos(psi) - bi * sin(psi))
+            filt += alpha * (j_ac * r - filt)
+            integ += filt * dt
+            u = kp * filt + ki * integ
+            phibar_b.append(phibar0 + psi)
+            error_b.append(filt)
+        phibar[j:j + k] = phibar_b
+        error[j:j + k] = error_b
+    return np.arange(n) * dt, phibar, error
 
 
 def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,

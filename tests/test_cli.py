@@ -240,6 +240,7 @@ class TestExitCodes:
         ("lock", "[lock]\ntheta = 400\n", "[lock]"),
         ("lock", "[lock]\ntheta = 40.5980000000094\n", "[lock]"),
         ("figure3", "[montecarlo]\noverlay_seeds = -2\n", "[montecarlo] overlay_seeds"),
+        ("lock", "[lock]\nduration = 1e-6\n", "[lock] duration must be at least dt"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "sample_rate", "correlation_omega_zero", "correlation_points",
@@ -247,7 +248,8 @@ class TestExitCodes:
             "montecarlo_alias", "figure3_overlay_alias", "segments_below_min",
             "figure3_overlay_segments", "averaging_periods_10",
             "averaging_periods_19_9", "theta_overflow", "theta_overflow_lock",
-            "overlay_seeds_negative", "theta_inaccurate_series"])
+            "overlay_seeds_negative", "theta_inaccurate_series",
+            "lock_duration_below_dt"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)

@@ -1,12 +1,17 @@
 """Phase lock: sideband algebra, demodulation, and the closed loop."""
 
+import cmath
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import j0 as sp_j0, j1 as sp_j1, jv
 
 import balhet as bh
 from balhet.errors import DemodClash, LockFailure
-from balhet.locking import _bessel_series
+from balhet.locking import (_LOCK_BLOCK, _bessel_series, _demodulate,
+                            _folded_sin, _lo_superposition_modulated)
 
 TWO_PI = 2.0 * np.pi
 
@@ -102,6 +107,11 @@ class TestMeanPhotocurrent:
         proj = bh.error_line_projection(bh.vacuum_state(), cfg, lock, DET,
                                         duration=0.25, samples=2 ** 15)
         assert abs(proj) < 1e-14
+
+    def test_prediction_refuses_inaccurate_depth(self):
+        # the power series is wrong past theta ~ 30; the lock check says so
+        with pytest.raises(ValueError, match="sideband power"):
+            bh.error_line_prediction(STATE, het_config(), lock_config(theta=40.0), DET)
 
 
 class TestErrorSignal:
@@ -214,3 +224,54 @@ class TestClosedLoop:
         traj = info.value.trajectory
         assert traj is not None and not traj.locked
         assert np.isnan(traj.lock_time)
+
+
+def _step_reference(state, cfg, lock, det, eta, n):
+    """The lock loop with every input precomputed at full length."""
+    t = np.arange(n) * lock.dt
+    c0 = _lo_superposition_modulated(cfg, lock, t)
+    qe = eta * det.charge
+    base = (qe * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)).tolist()
+    beat = (qe * np.conj(complex(state.mean_amplitude)) * c0).tolist()
+    nu = cfg.Omega - lock.Omega_prime
+    ref = (-2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)).tolist()
+    disturb = np.asarray(lock.disturbance(t), dtype=float).tolist()
+    alpha = 1.0 - math.exp(-lock.cutoff(cfg) * lock.dt)
+    phibar, error = np.empty(n), np.empty(n)
+    u = integ = filt = 0.0
+    for k in range(n):
+        psi = u + disturb[k]
+        j_ac = base[k] + 2.0 * (beat[k] * cmath.exp(1j * psi)).real
+        filt += alpha * (j_ac * ref[k] - filt)
+        integ += filt * lock.dt
+        u = lock.kp * filt + lock.ki * integ
+        phibar[k] = cfg.phibar + psi
+        error[k] = filt
+    return t, phibar, error
+
+
+class TestBlockedLoop:
+    def test_blocked_loop_matches_step_reference(self):
+        # two full blocks and a partial one, with every input term live
+        state = bh.coherent_state(0.8 - 0.45j)
+        cfg = het_config(phibar=0.6, dphi=0.15)
+        lock = lock_config(kp=0.5, demod_phase=0.05,
+                           disturbance=lambda t: 0.03 * np.sin(TWO_PI * 7.0 * t))
+        n = 2 * _LOCK_BLOCK + 17
+        got = _demodulate(state, cfg, lock, DET, 0.9, n)
+        want = _step_reference(state, cfg, lock, DET, 0.9, n)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_loop_memory_bounded(self):
+        # the loop keeps its returned arrays plus one block of work
+        lock = lock_config(duration=4.0)
+        tracemalloc.start()
+        try:
+            traj = bh.closed_loop_simulate(STATE, het_config(), lock, DET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.time) == 2 ** 17
+        returned = traj.time.nbytes + traj.phibar.nbytes + traj.error_signal.nbytes
+        assert peak <= 3 * returned
