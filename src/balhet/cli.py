@@ -155,12 +155,18 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     top = max(FIGURE3_RATIOS.values())
     if uses_mc and eff_mode == "figure3" and opo is not None and not top * opo.gamma < limit:
         errors.append(f"[opo] gamma: {top} * gamma must lie below the alias limit {limit}")
-    correlation_iota_max = f("correlation", "iota_max")
+    correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
     correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
     # T = averaging_periods * pi / omega, so the rule counts half beat periods
     half = 2 * MIN_BEAT_PERIODS if eff_mode == "correlation" else None
     correlation_periods = f("correlation", "averaging_periods",
                             half and (lambda v: v >= half, f"at least {half}"))
+    if eff_mode == "correlation" and het is not None and het.Omega > 0 and correlation_periods:
+        # the lag span and the beat phase omega (2t + iota), t <= T, stay finite
+        reach = 2.0 * (correlation_periods * math.pi / het.Omega + (correlation_iota_max or 0))
+        if not (math.isfinite(reach) and math.isfinite(het.Omega * reach)):
+            errors.append(f"[correlation] averaging window plus iota_max ({reach / 2}) "
+                          f"overflows the beat phase at omega = {het.Omega}")
 
     phibar0 = f("lock", "phibar0")
     dist_amp = f("lock", "disturbance_amplitude")

@@ -41,43 +41,30 @@ def _lo_superposition(cfg: HeterodyneConfig, t):
                             + np.exp(1j * cfg.Omega * t + 1j * cfg.phi2))
 
 
+def _quadrature_kernel(state: GaussianFieldState, cfg: HeterodyneConfig, iota):
+    """Measured-quadrature kernel k(iota) = 2 Re[g11(iota) + g20(iota) e^{i(phi1+phi2)}]."""
+    phase = np.exp(1j * (cfg.phi1 + cfg.phi2))
+    return 2.0 * np.real(state.gamma11(iota) + state.gamma20(iota) * phase)
+
+
 def intensity_correlation(state: GaussianFieldState, cfg: HeterodyneConfig,
                           t, iota):
     """Strong-oscillator intensity-fluctuation correlation lambda(t, iota).
 
-    Evaluates the terms quadratic in the oscillator amplitude E:
+    Keeps the terms quadratic in the oscillator amplitude E.  The
+    oscillator sum is 2E e^{i(phi1+phi2)/2} cos(Wt + dphi), so those terms
+    factorize through the one measured quadrature:
 
-        E^2 { g11(iota) [e^{iWi} + e^{-iWi} + e^{-iW(2t+i) - 2i dphi}
-                         + e^{iW(2t+i) + 2i dphi}]
-            + g20(iota) [e^{iWi + i(phi1+phi2)} + e^{-iWi + i(phi1+phi2)}
-                         + e^{-iW(2t+i) + 2i phi1} + e^{iW(2t+i) + 2i phi2}]
-            + c.c. }
+        lambda = 4 E^2 cos(Wt + dphi) cos(W(t+i) + dphi) k(i)
+               = 2 E^2 k(i) [cos(W i) + cos(W(2t+i) + 2 dphi)]
 
-    The conjugate pair is summed explicitly, so the result is real to
-    machine precision; the real part is returned.
+    with the real kernel k of ``_quadrature_kernel``, evaluated once.
     """
-    return np.real(_intensity_correlation_complex(state, cfg, t, iota))
-
-
-def _intensity_correlation_complex(state, cfg, t, iota):
-    """Complex-valued sum including the explicit conjugate pair (for tests)."""
     t = np.asarray(t, dtype=float)
     iota = np.asarray(iota, dtype=float)
-    W, dphi = cfg.Omega, cfg.dphi
-    phi1, phi2 = cfg.phi1, cfg.phi2
-    e2 = cfg.amplitude ** 2
-
-    b11 = (np.exp(1j * W * iota) + np.exp(-1j * W * iota)
-           + np.exp(-1j * (W * (2 * t + iota) + 2 * dphi))
-           + np.exp(1j * (W * (2 * t + iota) + 2 * dphi)))
-    b20 = (np.exp(1j * (W * iota + phi1 + phi2))
-           + np.exp(1j * (-W * iota + phi1 + phi2))
-           + np.exp(1j * (-W * (2 * t + iota) + 2 * phi1))
-           + np.exp(1j * (W * (2 * t + iota) + 2 * phi2)))
-    z = e2 * (state.gamma11(iota) * b11 + state.gamma20(iota) * b20)
-    zc = e2 * (np.conj(state.gamma11(iota)) * np.conj(b11)
-               + np.conj(state.gamma20(iota)) * np.conj(b20))
-    return z + zc
+    W = cfg.Omega
+    beat = np.cos(W * iota) + np.cos(W * (2.0 * t + iota) + 2.0 * cfg.dphi)
+    return 2.0 * cfg.amplitude ** 2 * _quadrature_kernel(state, cfg, iota) * beat
 
 
 def _moments(state: GaussianFieldState, iota):
@@ -199,10 +186,8 @@ def lambda_prime(state: GaussianFieldState, cfg: HeterodyneConfig, tau):
     lambda'(tau) = 2 E^2 cos(W tau) { g11(tau) + g20(tau) e^{i(phi1+phi2)} + c.c. }
     """
     tau = np.asarray(tau, dtype=float)
-    phase = np.exp(1j * (cfg.phi1 + cfg.phi2))
-    inner = state.gamma11(tau) + state.gamma20(tau) * phase
     return (2.0 * cfg.amplitude ** 2 * np.cos(cfg.Omega * tau)
-            * 2.0 * np.real(inner))
+            * _quadrature_kernel(state, cfg, tau))
 
 
 def lambda_prime_quadrature_form(state: GaussianFieldState,

@@ -42,6 +42,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
+        if v + step == v:  # span below the float spacing at v
+            break
         v += step
     return ticks
 
@@ -59,6 +61,8 @@ def _panel_svg(panel: Panel, x0: float, y0: float, width: float, height: float):
     xhi = max(float(np.max(x)) for x in xs)
     ylo = min(float(np.min(y)) for y in ys)
     yhi = max(float(np.max(y)) for y in ys)
+    if xhi == xlo:
+        xlo, xhi = xlo - 1.0, xhi + 1.0
     if yhi == ylo:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     pad = 0.05 * (yhi - ylo)

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
 from balhet.errors import ConfigInvalid
@@ -241,6 +241,15 @@ class TestExitCodes:
         ("lock", "[lock]\ntheta = 40.5980000000094\n", "[lock]"),
         ("figure3", "[montecarlo]\noverlay_seeds = -2\n", "[montecarlo] overlay_seeds"),
         ("lock", "[lock]\nduration = 1e-6\n", "[lock] duration must be at least dt"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\niota_max = -2\n",
+         "[correlation] iota_max: must be positive"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\niota_max = 0\n",
+         "[correlation] iota_max: must be positive"),
+        ("spectrum", "[correlation]\niota_max = -2\n", "[correlation] iota_max"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[heterodyne]\nomega = 5e-324\n",
+         "[correlation] averaging window plus iota_max"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\niota_max = 1e308\n",
+         "[correlation] averaging window plus iota_max"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "sample_rate", "correlation_omega_zero", "correlation_points",
@@ -249,7 +258,8 @@ class TestExitCodes:
             "figure3_overlay_segments", "averaging_periods_10",
             "averaging_periods_19_9", "theta_overflow", "theta_overflow_lock",
             "overlay_seeds_negative", "theta_inaccurate_series",
-            "lock_duration_below_dt"])
+            "lock_duration_below_dt", "iota_max_negative", "iota_max_zero",
+            "iota_max_spectrum", "correlation_window_overflow", "iota_max_overflow"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
@@ -367,3 +377,88 @@ def test_reference_keys_load_or_refuse(mode, entry, value):
             return
     assert cfg.seed >= 0 and cfg.overlay_seeds >= 0
     assert all(math.isfinite(v) for v in vars(cfg).values() if isinstance(v, float))
+
+
+_ANGLE = st.floats(-4.0, 4.0)
+
+# Size caps keep one run small.  The other keys are optional and range
+# mostly over admitted values; a few ranges reach past a load-time or
+# run-time rule (epsilon above threshold, omega = 0 in correlation mode,
+# deep modulation, a loop too slow to settle) so refusals are run too.
+_RUN_SIZES = {
+    ("montecarlo", "segments"): st.integers(1, 20),
+    ("montecarlo", "segment_length"): st.integers(8, 256),
+    ("montecarlo", "overlay_seeds"): st.integers(0, 2),
+    ("lock", "duration"): st.floats(2.0 ** -15, 0.05),
+    ("correlation", "points"): st.integers(2, 11),
+}
+_RUN_OPTIONAL = {
+    ("opo", "gamma"): st.floats(0.05, 5.0),
+    ("opo", "epsilon"): st.floats(0.0, 0.6),
+    ("opo", "eta"): st.floats(0.01, 1.0),
+    ("heterodyne", "omega"): st.floats(0.0, 6.0),
+    ("heterodyne", "phi1"): _ANGLE,
+    ("heterodyne", "phi2"): _ANGLE,
+    ("heterodyne", "beta"): _ANGLE,
+    ("heterodyne", "amplitude"): st.floats(0.01, 100.0),
+    ("grid", "omega_max"): st.floats(0.01, 10.0),
+    ("grid", "points"): st.integers(3, 300),
+    ("montecarlo", "sample_rate"): st.floats(0.5, 20.0),
+    ("montecarlo", "overlap"): st.floats(0.0, 0.9),
+    ("montecarlo", "window"): st.sampled_from(["hann", "rectangular"]),
+    ("montecarlo", "n_segments_min"): st.integers(1, 20),
+    ("correlation", "iota_max"): st.floats(0.01, 20.0),
+    ("correlation", "averaging_periods"): st.floats(20.0, 100.0),
+    ("lock", "theta"): st.floats(0.0, 1.5),
+    ("lock", "demod_phase"): _ANGLE,
+    ("lock", "lowpass_cutoff"): st.floats(10.0, 700.0),
+    ("lock", "kp"): st.floats(-10.0, 10.0),
+    ("lock", "ki"): st.floats(0.0, 20000.0),
+    ("lock", "phibar0"): _ANGLE,
+    ("lock", "mean_real"): st.floats(-2.0, 2.0),
+    ("lock", "mean_imag"): st.floats(-2.0, 2.0),
+    ("lock", "disturbance_amplitude"): st.floats(0.0, 1.0),
+    ("lock", "disturbance_omega"): st.floats(0.0, 1000.0),
+    ("lock", "lock_tolerance"): st.floats(1e-4, 0.1),
+}
+
+
+_SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
+          ("montecarlo", "overlay_seeds"): 0, ("lock", "duration"): 0.05,
+          ("correlation", "points"): 11}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mode=st.sampled_from(list(RUNNERS)), svg=st.booleans(), seed=st.integers(0, 2 ** 32),
+       values=st.fixed_dictionaries(_RUN_SIZES, optional=_RUN_OPTIONAL))
+# a y span below the float spacing once looped the SVG tick generator forever
+@example(mode="spectrum", svg=True, seed=0, values={**_SMALL, ("opo", "epsilon"): 1e-17})
+# a one-step lock trajectory once divided by its zero time span in the SVG
+@example(mode="lock", svg=True, seed=0,
+         values={**_SMALL, ("lock", "duration"): 2.0 ** -15, ("lock", "phibar0"): 0.0})
+# a subnormal offset once made the averaging window infinite (traceback)
+@example(mode="correlation", svg=False, seed=0,
+         values={**_SMALL, ("opo", "epsilon"): 0.3, ("heterodyne", "omega"): 5e-324})
+def test_every_mode_runs_or_refuses(tmp_path, mode, svg, seed, values):
+    # run, not only load: finite artifacts, a config refusal that writes
+    # nothing, or a numerical refusal
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        conf = os.path.join(tmp, "exp.ini")
+        with open(conf, "w") as handle:
+            for section, lines in sections.items():
+                handle.write(f"[{section}]\n" + "\n".join(lines) + "\n")
+        out = os.path.join(tmp, "out")
+        argv = [mode, "--config", conf, "--seed", str(seed), "--out", out]
+        code = run_cli(*argv, *(["--svg"] if svg else []))
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not os.path.exists(out)
+        if code == 0:
+            for name in os.listdir(out):
+                if name.endswith(".csv"):
+                    _, cols = read_csv(os.path.join(out, name))
+                    assert all(np.all(np.isfinite(c)) for c in cols.values()), name
