@@ -9,15 +9,13 @@ __version__ = "0.1.0"
 
 from .errors import (AliasRisk, BalhetError, ConfigInvalid, DemodClash,
                      InsufficientAveraging, InsufficientData, LockFailure,
-                     NonCausalPulse, NonPhysicalSpectrum, ThresholdDivergence)
-from .field import (DetectorModel, GaussianFieldState, HeterodyneConfig,
-                    OpoParams, QuadratureKernels, QuadratureSpectra,
-                    coherent_state, flat_detector,
+                     NonPhysicalSpectrum, ThresholdDivergence)
+from .field import (GaussianFieldState, HeterodyneConfig, OpoParams,
+                    QuadratureKernels, QuadratureSpectra, coherent_state,
                     gammas_to_quadrature_correlations, opo_field_state,
                     opo_spectra, quadrature_correlations_to_gammas,
-                    quadrature_mean, quadrature_mean_slope,
-                    single_pole_detector, vacuum_state)
-from .spectral import (SpectralDensity, detector_response, frequency_grid,
+                    quadrature_mean, quadrature_mean_slope, vacuum_state)
+from .spectral import (SpectralDensity, frequency_grid,
                        heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form, quadrature_noise_spectrum)
 from .correlation import (TimeAverage, intensity_correlation,

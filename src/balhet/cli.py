@@ -308,10 +308,9 @@ def run_correlation(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
 
 
 def run_lock(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
-    from .field import flat_detector
     state = coherent_state(cfg.lock_mean)
     trajectory = closed_loop_simulate(state, cfg.lock_heterodyne, cfg.lock,
-                                      flat_detector(), eta=cfg.opo.eta)
+                                      eta=cfg.opo.eta)
     stride = max(1, len(trajectory.time) // 4000)
     meta = {"config_hash": cfg.hash}
     paths = [_out(cfg, "lock_trajectory.csv"), _out(cfg, "lock_summary.json")]
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
         return 2
     try:
         paths = RUNNERS[cfg.mode](cfg, svg=args.svg)
-    except BalhetError as exc:
+    except (BalhetError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -17,10 +17,6 @@ class NonPhysicalSpectrum(BalhetError):
     """A power spectrum came out negative beyond numerical tolerance."""
 
 
-class NonCausalPulse(BalhetError):
-    """Detector pulse has support at negative times."""
-
-
 class AliasRisk(BalhetError):
     """Modulation frequency too close to the sampling Nyquist band."""
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonCausalPulse, ThresholdDivergence
+from .errors import ThresholdDivergence
 
 
 @dataclass(frozen=True)
@@ -153,63 +153,6 @@ class QuadratureKernels:
     k22: Callable
     k12: Callable
     k21: Callable
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Photoelectron pulse model.
-
-    ``pulse(t)`` is the single-photoelectron current pulse in amperes,
-    identically zero for ``t < 0``; ``charge`` its integral.  ``response``
-    optionally carries the analytic frequency response K(w); when absent
-    the response is obtained by numerical quadrature.
-    """
-
-    pulse: Callable
-    charge: float
-    response: Callable | None = None
-
-    def __post_init__(self):
-        if not self.charge > 0:
-            raise ValueError(f"charge must be positive, got {self.charge}")
-
-
-def flat_detector(charge: float = 1.0, width: float = 1e-9) -> DetectorModel:
-    """Idealized short-pulse detector with flat response K(w) = charge.
-
-    The pulse is a causal box of negligible ``width``, kept only so the
-    pulse interface stays exercisable; the model's defining property is
-    the flat response.
-    """
-
-    def pulse(t):
-        t = np.asarray(t, dtype=float)
-        return np.where((t >= 0.0) & (t < width), charge / width, 0.0)
-
-    return DetectorModel(pulse=pulse, charge=charge,
-                         response=lambda w: charge * np.ones_like(np.asarray(w, dtype=float)) + 0j)
-
-
-def single_pole_detector(charge: float = 1.0, tau_d: float = 1.0) -> DetectorModel:
-    """Exponential pulse j(t) = (q/tau_d) exp(-t/tau_d), K(w) = q/(1 - i w tau_d)."""
-    if not tau_d > 0:
-        raise ValueError(f"tau_d must be positive, got {tau_d}")
-
-    def pulse(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0.0, (charge / tau_d) * np.exp(-np.clip(t, 0.0, None) / tau_d), 0.0)
-
-    def response(w):
-        return charge / (1.0 - 1j * np.asarray(w, dtype=float) * tau_d)
-
-    return DetectorModel(pulse=pulse, charge=charge, response=response)
-
-
-def check_causal(det: DetectorModel, probe_times=(-1e-12, -1e-6, -1e-3, -1.0)) -> None:
-    """Raise NonCausalPulse if the pulse is nonzero at sampled negative times."""
-    values = np.asarray(det.pulse(np.asarray(probe_times, dtype=float)))
-    if np.any(values != 0.0):
-        raise NonCausalPulse("detector pulse has support at t < 0")
 
 
 def quadrature_mean(state: GaussianFieldState, phibar: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPhysicalSpectrum
-from .field import DetectorModel, HeterodyneConfig, OpoParams, QuadratureSpectra, check_causal
+from .field import HeterodyneConfig, OpoParams, QuadratureSpectra
 
 # Frequency bins more negative than this are treated as a physicality
 # violation of the input spectra rather than rounding noise.
@@ -162,31 +162,3 @@ def opo_heterodyne_closed_form(params: OpoParams, Omega: float,
     snapshot = {"gamma": params.gamma, "epsilon": params.epsilon,
                 "eta": params.eta, "Omega": Omega, "phibar": 0.0}
     return SpectralDensity(omega, chi, HETERODYNE_FLOOR, snapshot)
-
-
-def detector_response(det: DetectorModel, omega, *, window: float | None = None,
-                      samples: int = 200001):
-    """Frequency response K(w) of the photoelectron pulse.
-
-    Uses the analytic response when the model carries one; otherwise
-    integrates ``pulse(t) exp(i w t)`` over ``[0, window]`` by composite
-    trapezoid, rescaled so that K(0) equals the model charge exactly.
-    Raises NonCausalPulse when the pulse has support at negative times.
-    """
-    check_causal(det)
-    w = np.asarray(omega, dtype=float)
-    if det.response is not None:
-        return np.asarray(det.response(w), dtype=complex)
-    if window is None:
-        raise ValueError("numeric response needs an integration window")
-    t = np.linspace(0.0, float(window), int(samples))
-    j = np.asarray(det.pulse(t), dtype=float)
-    raw0 = np.trapezoid(j, t)
-    if raw0 <= 0:
-        raise ValueError("pulse mass vanished on the integration window")
-    flat = w.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i, wi in enumerate(flat):  # one frequency at a time, bounded memory
-        out[i] = np.trapezoid(j * np.exp(1j * wi * t), t)
-    out *= det.charge / raw0
-    return out.reshape(w.shape)

@@ -170,24 +170,23 @@ def test_criterion_7_representation_equivalence():
 
 def test_criterion_8_phase_lock():
     with report(8, "modulation lock converges and its error line is calibrated"):
-        det = bh.flat_detector()
         state = bh.coherent_state(1.0 + 0j)
         cfg = bh.HeterodyneConfig(Omega=TWO_PI * 1280.0, phi1=0.3, phi2=0.3,
                                   beta=0.0, amplitude=0.1)
         lock = bh.LockConfig(Omega_prime=TWO_PI * 1152.0, theta=0.2)
 
-        trajectory = bh.closed_loop_simulate(state, cfg, lock, det)
+        trajectory = bh.closed_loop_simulate(state, cfg, lock)
         assert trajectory.locked
         assert abs(trajectory.phibar[-1]) < 1e-3
 
         residual = bh.bessel_truncation(0.2).residual
         assert residual < 1e-3
-        proj = bh.error_line_projection(state, cfg, lock, det,
+        proj = bh.error_line_projection(state, cfg, lock,
                                         duration=0.25, samples=2 ** 15)
-        pred = bh.error_line_prediction(state, cfg, lock, det)
+        pred = bh.error_line_prediction(state, cfg, lock)
         assert abs(proj - pred) <= residual * abs(pred)
 
-        vacuum_error = bh.error_signal(bh.vacuum_state(), cfg, lock, det,
+        vacuum_error = bh.error_signal(bh.vacuum_state(), cfg, lock,
                                        average_time=0.125)
         assert abs(vacuum_error) < 1e-12
 

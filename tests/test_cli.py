@@ -295,6 +295,22 @@ class TestExitCodes:
         assert run_cli("montecarlo", "--config", str(conf),
                        "--out", str(tmp_path / "o")) == 3
 
+    @pytest.mark.parametrize("mode, ini", [
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 1e15\n"),
+        ("montecarlo", "[montecarlo]\nsegments = 10000000000000\n"),
+        ("spectrum", "[grid]\npoints = 20000000000000000\n"),
+    ], ids=["averaging_periods", "segments", "grid_points"])
+    def test_unallocatable_size_is_three(self, tmp_path, capsys, mode, ini):
+        # each run asks for one array of over 128 PiB, beyond any address
+        # space, so numpy refuses it before touching memory
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        assert run_cli(mode, "--config", str(conf),
+                       "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_io_error_is_four(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")

@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy.special import j0 as sp_j0, j1 as sp_j1, jv
 
 import balhet as bh
 from balhet.errors import DemodClash, LockFailure
-from balhet.locking import (_LOCK_BLOCK, _bessel_series, _demodulate,
-                            _folded_sin, _lo_superposition_modulated)
+from balhet.locking import (_LOCK_BLOCK, _demodulate, _folded_sin,
+                            _lo_superposition_modulated, validate_lock)
 
 TWO_PI = 2.0 * np.pi
 
@@ -19,7 +20,6 @@ TWO_PI = 2.0 * np.pi
 # cycle grid (common period 1/128 s)
 F_HET = 1280.0
 F_MOD = 1152.0
-DET = bh.flat_detector()
 STATE = bh.coherent_state(1.0 + 0j)
 
 
@@ -35,16 +35,35 @@ def lock_config(**kw):
 
 class TestBessel:
     def test_series_against_scipy(self):
-        for x in np.linspace(0.0, 3.0, 31):
-            assert _bessel_series(0, x) == pytest.approx(float(sp_j0(x)), abs=1e-14)
-            assert _bessel_series(1, x) == pytest.approx(float(sp_j1(x)), abs=1e-14)
+        for x in np.linspace(0.0, 1000.0, 2001):
+            out = bh.bessel_truncation(x)
+            assert out.j0 == pytest.approx(float(sp_j0(x)), abs=1e-13)
+            assert out.j1 == pytest.approx(float(sp_j1(x)), abs=1e-13)
 
     def test_upward_recurrence(self):
         # J_{n+1}(x) = (2n/x) J_n(x) - J_{n-1}(x)
         for x in (0.3, 0.9, 2.2):
-            j0, j1 = _bessel_series(0, x), _bessel_series(1, x)
+            out = bh.bessel_truncation(x)
+            j0, j1 = out.j0, out.j1
             j2 = (2.0 / x) * j1 - j0
             assert j2 == pytest.approx(float(jv(2, x)), abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [math.inf, math.nan])
+    def test_non_finite_depth_refused(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            lock_config(theta=theta)
+
+    def test_finite_depth_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (1e3, 1e10, 1e100, 1e308):
+                assert bh.bessel_truncation(theta).residual >= 0.0
+
+    def test_accepted_depth_boundary(self):
+        cfg = het_config()
+        validate_lock(cfg, lock_config(theta=1.180764))
+        with pytest.raises(ValueError, match="sideband power"):
+            validate_lock(cfg, lock_config(theta=1.180765))
 
     def test_zero_depth(self):
         out = bh.bessel_truncation(0.0)
@@ -66,7 +85,7 @@ class TestBessel:
 
     def test_residual_matches_retained_power(self):
         # Parseval route: residual = 1 - J0^2 - 2 J1^2
-        for theta in (0.1, 0.2, 0.5):
+        for theta in (0.1, 0.2, 0.5, 40.0):
             out = bh.bessel_truncation(theta)
             assert out.residual == pytest.approx(
                 1.0 - out.j0 ** 2 - 2.0 * out.j1 ** 2, abs=1e-12)
@@ -79,11 +98,11 @@ class TestMeanPhotocurrent:
                                   beta=0.2, amplitude=0.7)
         lock = lock_config(theta=0.0)
         t = np.linspace(0.0, 3.0 / F_HET, 257)
-        j = bh.mean_photocurrent(STATE, cfg, lock, DET, t, eta=0.9)
+        j = bh.mean_photocurrent(STATE, cfg, lock, t, eta=0.9)
         xmean = bh.quadrature_mean(
             bh.GaussianFieldState(STATE.mean_amplitude, STATE.gamma11,
                                   STATE.gamma20, beta=0.2), cfg.phibar)
-        expected = 0.9 * DET.charge * (
+        expected = 0.9 * (
             abs(STATE.mean_amplitude) ** 2
             + 2.0 * cfg.amplitude * np.cos(cfg.Omega * t + cfg.dphi) * xmean
             + 4.0 * cfg.amplitude ** 2 * np.cos(cfg.Omega * t + cfg.dphi) ** 2)
@@ -96,49 +115,49 @@ class TestMeanPhotocurrent:
         # and the truncation residual bounds it loosely
         cfg = het_config(phibar=0.47, dphi=0.31)
         lock = lock_config(theta=theta)
-        proj = bh.error_line_projection(STATE, cfg, lock, DET, eta=0.8,
+        proj = bh.error_line_projection(STATE, cfg, lock, eta=0.8,
                                         duration=0.25, samples=2 ** 15)
-        pred = bh.error_line_prediction(STATE, cfg, lock, DET, eta=0.8)
+        pred = bh.error_line_prediction(STATE, cfg, lock, eta=0.8)
         assert abs(proj - pred) <= bh.bessel_truncation(theta).residual * abs(pred) + 1e-13
 
     def test_vacuum_has_no_demodulation_line(self):
         cfg = het_config(phibar=0.3)
         lock = lock_config(theta=0.2)
-        proj = bh.error_line_projection(bh.vacuum_state(), cfg, lock, DET,
+        proj = bh.error_line_projection(bh.vacuum_state(), cfg, lock,
                                         duration=0.25, samples=2 ** 15)
         assert abs(proj) < 1e-14
 
     def test_prediction_refuses_inaccurate_depth(self):
-        # the power series is wrong past theta ~ 30; the lock check says so
+        # theta = 40 leaves almost all the power outside the two sidebands
         with pytest.raises(ValueError, match="sideband power"):
-            bh.error_line_prediction(STATE, het_config(), lock_config(theta=40.0), DET)
+            bh.error_line_prediction(STATE, het_config(), lock_config(theta=40.0))
 
 
 class TestErrorSignal:
     def test_zero_at_extremum(self):
-        e = bh.error_signal(STATE, het_config(phibar=0.0), lock_config(), DET,
+        e = bh.error_signal(STATE, het_config(phibar=0.0), lock_config(),
                             average_time=0.125)
         assert abs(e) < 1e-12
 
     def test_restoring_sign(self):
         lock = lock_config()
-        e_pos = bh.error_signal(STATE, het_config(phibar=+0.1), lock, DET,
+        e_pos = bh.error_signal(STATE, het_config(phibar=+0.1), lock,
                                 average_time=0.125)
-        e_neg = bh.error_signal(STATE, het_config(phibar=-0.1), lock, DET,
+        e_neg = bh.error_signal(STATE, het_config(phibar=-0.1), lock,
                                 average_time=0.125)
         assert e_pos < 0 < e_neg
         assert e_pos == pytest.approx(-e_neg, rel=1e-9)
 
     def test_matches_mixer_dc_prediction(self):
-        # DC after mixing: 2 eta q E J1 (dX/dphibar) cos(demod_phase - dphi)
+        # DC after mixing: 2 eta E J1 (dX/dphibar) cos(demod_phase - dphi)
         for phibar, dphi, demod in ((0.2, 0.0, 0.0), (-0.4, 0.25, 0.1)):
             cfg = het_config(phibar=phibar, dphi=dphi)
             lock = lock_config(theta=0.2, demod_phase=demod)
-            e = bh.error_signal(STATE, cfg, lock, DET, eta=0.9,
+            e = bh.error_signal(STATE, cfg, lock, eta=0.9,
                                 average_time=0.125)
             j1 = bh.bessel_truncation(0.2).j1
             slope = bh.quadrature_mean_slope(STATE, phibar)
-            expected = (2.0 * 0.9 * DET.charge * cfg.amplitude * j1 * slope
+            expected = (2.0 * 0.9 * cfg.amplitude * j1 * slope
                         * np.cos(demod - dphi))
             assert e == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
@@ -146,47 +165,47 @@ class TestErrorSignal:
         for phibar in (0.0, 0.3, -0.8):
             cfg = het_config(phibar=phibar, dphi=0.2)
             lock = lock_config(demod_phase=0.2 + np.pi / 2)
-            e = bh.error_signal(STATE, cfg, lock, DET, average_time=0.125)
+            e = bh.error_signal(STATE, cfg, lock, average_time=0.125)
             assert abs(e) < 1e-9
 
     def test_vacuum_gives_zero(self):
-        e = bh.error_signal(bh.vacuum_state(), het_config(), lock_config(), DET,
+        e = bh.error_signal(bh.vacuum_state(), het_config(), lock_config(),
                             average_time=0.125)
         assert abs(e) < 1e-12
 
     def test_demodulation_clash(self):
         lock = lock_config(lowpass_cutoff=TWO_PI * (F_HET - F_MOD) * 1.5)
         with pytest.raises(DemodClash):
-            bh.error_signal(STATE, het_config(), lock, DET)
+            bh.error_signal(STATE, het_config(), lock)
 
     def test_validation(self):
         with pytest.raises(ValueError):  # modulation above the beat
             bh.error_signal(STATE, het_config(),
-                            bh.LockConfig(Omega_prime=TWO_PI * 2000.0), DET)
+                            bh.LockConfig(Omega_prime=TWO_PI * 2000.0))
         with pytest.raises(ValueError):  # step too coarse
-            bh.error_signal(STATE, het_config(), lock_config(dt=1e-3), DET)
+            bh.error_signal(STATE, het_config(), lock_config(dt=1e-3))
         with pytest.raises(ValueError):  # depth outside the sideband picture
-            bh.error_signal(STATE, het_config(), lock_config(theta=1.5), DET)
+            bh.error_signal(STATE, het_config(), lock_config(theta=1.5))
 
     def test_modulation_at_beat_rejected(self):
         # the lock check runs before the step count divides by Omega - Omega'
         with pytest.raises(ValueError, match="below the heterodyne offset"):
             bh.error_signal(STATE, het_config(),
-                            bh.LockConfig(Omega_prime=TWO_PI * F_HET), DET)
+                            bh.LockConfig(Omega_prime=TWO_PI * F_HET))
 
 
 class TestClosedLoop:
     def test_lock_from_standard_offset(self):
         traj = bh.closed_loop_simulate(STATE, het_config(phibar=0.3),
-                                       lock_config(), DET)
+                                       lock_config())
         assert traj.locked
         assert abs(traj.phibar[-1]) < 1e-3
         assert traj.lock_time < 0.4
         assert traj.lock_point == pytest.approx(0.0)
 
     def test_deterministic(self):
-        a = bh.closed_loop_simulate(STATE, het_config(), lock_config(), DET)
-        b = bh.closed_loop_simulate(STATE, het_config(), lock_config(), DET)
+        a = bh.closed_loop_simulate(STATE, het_config(), lock_config())
+        b = bh.closed_loop_simulate(STATE, het_config(), lock_config())
         assert np.array_equal(a.phibar, b.phibar)
         assert np.array_equal(a.error_signal, b.error_signal)
 
@@ -194,7 +213,7 @@ class TestClosedLoop:
         # starting just past the unstable extremum: converges to the next
         # stable point (2 pi), never back to pi
         traj = bh.closed_loop_simulate(STATE, het_config(phibar=1.1 * np.pi),
-                                       lock_config(duration=1.0), DET)
+                                       lock_config(duration=1.0))
         assert traj.locked
         assert traj.phibar[-1] == pytest.approx(2.0 * np.pi, abs=1e-3)
         assert np.all(np.abs(traj.phibar - np.pi) > 0.05)
@@ -204,7 +223,7 @@ class TestClosedLoop:
         disturbance = lambda t: amp * np.sin(w_dist * np.asarray(t))
         lock = lock_config(duration=2.0, disturbance=disturbance,
                            lock_tolerance=0.02)
-        traj = bh.closed_loop_simulate(STATE, het_config(phibar=0.0), lock, DET)
+        traj = bh.closed_loop_simulate(STATE, het_config(phibar=0.0), lock)
         n = len(traj.time)
         closed_rms = float(np.sqrt(np.mean(traj.phibar[n // 2:] ** 2)))
         open_rms = amp / np.sqrt(2.0)
@@ -214,25 +233,24 @@ class TestClosedLoop:
     def test_vacuum_raises_lock_failure(self):
         with pytest.raises(LockFailure) as info:
             bh.closed_loop_simulate(bh.vacuum_state(), het_config(),
-                                    lock_config(duration=0.05), DET)
+                                    lock_config(duration=0.05))
         assert info.value.trajectory is not None
 
     def test_unconverged_raises_with_trajectory(self):
         slow = lock_config(ki=1.0, duration=0.05)
         with pytest.raises(LockFailure) as info:
-            bh.closed_loop_simulate(STATE, het_config(phibar=0.3), slow, DET)
+            bh.closed_loop_simulate(STATE, het_config(phibar=0.3), slow)
         traj = info.value.trajectory
         assert traj is not None and not traj.locked
         assert np.isnan(traj.lock_time)
 
 
-def _step_reference(state, cfg, lock, det, eta, n):
+def _step_reference(state, cfg, lock, eta, n):
     """The lock loop with every input precomputed at full length."""
     t = np.arange(n) * lock.dt
     c0 = _lo_superposition_modulated(cfg, lock, t)
-    qe = eta * det.charge
-    base = (qe * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)).tolist()
-    beat = (qe * np.conj(complex(state.mean_amplitude)) * c0).tolist()
+    base = (eta * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)).tolist()
+    beat = (eta * np.conj(complex(state.mean_amplitude)) * c0).tolist()
     nu = cfg.Omega - lock.Omega_prime
     ref = (-2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)).tolist()
     disturb = np.asarray(lock.disturbance(t), dtype=float).tolist()
@@ -258,8 +276,8 @@ class TestBlockedLoop:
         lock = lock_config(kp=0.5, demod_phase=0.05,
                            disturbance=lambda t: 0.03 * np.sin(TWO_PI * 7.0 * t))
         n = 2 * _LOCK_BLOCK + 17
-        got = _demodulate(state, cfg, lock, DET, 0.9, n)
-        want = _step_reference(state, cfg, lock, DET, 0.9, n)
+        got = _demodulate(state, cfg, lock, 0.9, n)
+        want = _step_reference(state, cfg, lock, 0.9, n)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -268,7 +286,7 @@ class TestBlockedLoop:
         lock = lock_config(duration=4.0)
         tracemalloc.start()
         try:
-            traj = bh.closed_loop_simulate(STATE, het_config(), lock, DET)
+            traj = bh.closed_loop_simulate(STATE, het_config(), lock)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

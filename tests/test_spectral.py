@@ -1,11 +1,10 @@
-"""Spectral engine: heterodyne/homodyne noise spectra and detector response."""
+"""Spectral engine: heterodyne/homodyne noise spectra."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import balhet as bh
-from balhet.errors import NonCausalPulse, NonPhysicalSpectrum
+from balhet.errors import NonPhysicalSpectrum
 
 FLAT = bh.QuadratureSpectra(
     phi11=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
@@ -189,45 +188,3 @@ class TestClosedForm:
         w, v = sd.minimum()
         assert abs(abs(w) - 5.0) < 1e-12
         assert v == pytest.approx(0.49505, abs=1e-5)
-
-
-class TestDetectorResponse:
-    def test_flat_detector(self):
-        det = bh.flat_detector(charge=2.5)
-        w = np.linspace(-10, 10, 11)
-        k = bh.detector_response(det, w)
-        assert np.allclose(k, 2.5)
-        assert bh.detector_response(det, 0.0) == pytest.approx(2.5)
-
-    def test_single_pole_against_quadrature(self):
-        q, tau_d = 1.7, 0.3
-        det = bh.single_pole_detector(charge=q, tau_d=tau_d)
-        for w in (0.0, 0.5, 2.0, 7.0):
-            analytic = complex(bh.detector_response(det, w))
-            re = quad(lambda t: det.pulse(t) * np.cos(w * t), 0, 60 * tau_d, limit=400)[0]
-            im = quad(lambda t: det.pulse(t) * np.sin(w * t), 0, 60 * tau_d, limit=400)[0]
-            assert analytic.real == pytest.approx(re, rel=1e-8, abs=1e-10)
-            assert analytic.imag == pytest.approx(im, rel=1e-8, abs=1e-10)
-        assert complex(bh.detector_response(det, 0.0)) == q
-
-    def test_single_pole_magnitude_monotone(self):
-        det = bh.single_pole_detector(charge=1.0, tau_d=0.8)
-        w = np.linspace(0, 20, 101)
-        mag = np.abs(bh.detector_response(det, w))
-        assert np.all(np.diff(mag) <= 1e-15)
-
-    def test_numeric_path_matches_analytic(self):
-        q, tau_d = 1.0, 0.5
-        ref = bh.single_pole_detector(charge=q, tau_d=tau_d)
-        numeric = bh.DetectorModel(pulse=ref.pulse, charge=q, response=None)
-        w = np.array([0.0, 1.0, 3.0])
-        got = bh.detector_response(numeric, w, window=40 * tau_d)
-        want = bh.detector_response(ref, w)
-        assert np.max(np.abs(got - want)) < 1e-6
-        assert complex(got[0]) == q  # pinned exactly by construction
-
-    def test_noncausal_rejected(self):
-        bad = bh.DetectorModel(pulse=lambda t: np.exp(-np.abs(t)), charge=1.0,
-                               response=lambda w: np.ones_like(np.asarray(w)))
-        with pytest.raises(NonCausalPulse):
-            bh.detector_response(bad, 0.0)
