@@ -23,7 +23,8 @@ from .correlation import (MIN_BEAT_PERIODS, lambda_prime, lambda_prime_quadratur
 from .errors import BalhetError, ConfigInvalid
 from .field import HeterodyneConfig, OpoParams, coherent_state, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate, validate_lock
-from .montecarlo import ALIAS_FRACTION, WelchConfig, monte_carlo_heterodyne, monte_carlo_homodyne
+from .montecarlo import (ALIAS_FRACTION, WelchConfig, _fast_length, monte_carlo_heterodyne,
+                         monte_carlo_homodyne)
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
 from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form)
@@ -268,9 +269,11 @@ def run_montecarlo(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
              _out(cfg, "montecarlo_manifest.json")]
     write_spectral_csv(paths[0], mc, meta)
     write_spectral_csv(paths[1], analytic, meta)
+    n = cfg.welch.total_samples(mc.config_snapshot["n_segments"])
     write_json(paths[2], {"seed": cfg.seed, "config_hash": cfg.hash,
                           "tool_version": __version__,
                           "n_segments": mc.config_snapshot["n_segments"],
+                          "samples": n, "transform_length": _fast_length(n),
                           "config": cfg.snapshot})
     if svg:
         stride = max(1, len(mc.omega_grid) // 200)

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,10 +80,13 @@ class HeterodyneConfig:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.Omega < 0:
-            raise ValueError(f"Omega must be >= 0, got {self.Omega}")
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not 0.0 <= self.Omega < np.inf:
+            raise ValueError(f"Omega must lie in [0, inf), got {self.Omega}")
+        if not 0.0 < self.amplitude < np.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+        if not all(map(math.isfinite, (self.phi1, self.phi2, self.beta))):
+            raise ValueError(f"phi1, phi2 and beta must be finite, got "
+                             f"{self.phi1}, {self.phi2} and {self.beta}")
 
     @property
     def phibar(self) -> float:

@@ -28,10 +28,10 @@ _NEGATIVE_TOL = 1e-12
 
 # The beat offset must stay below this fraction of the sampling rate.
 ALIAS_FRACTION = 0.4
-# Samples per carrier block in the beat, and per batched Welch rfft
-# (segments x segment length), so that one windowed batch stays in cache.
+# Samples per carrier block in the beat, and per Welch rfft batch (segments x
+# segment length) or synthesis PSD slice, so that one batch stays in cache.
 _BEAT_BLOCK = 4096
-_WELCH_BATCH_SAMPLES = 2 ** 16
+_BATCH_SAMPLES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class TimeSeries:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if len(self.samples) < 2:
             raise ValueError("need at least 2 samples")
 
@@ -101,26 +101,33 @@ _last = None
 def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     """Real Gaussian series with prescribed two-sided PSD.
 
-    ``psd`` is evaluated on the nonnegative FFT frequencies (rad/s);
-    an even spectrum is assumed.  Circularly-symmetric Gaussian Fourier
-    coefficients are drawn with variance proportional to the PSD,
-    Hermitian symmetry is imposed, and the inverse transform returns a
-    real series whose averaged periodogram converges to ``psd``.  The
-    series is synthesized at the next 5-smooth length and truncated to
-    ``n``; a stationary circular series stays stationary when truncated.
+    ``psd`` is evaluated pointwise, on one slice of the nonnegative FFT
+    frequencies (rad/s) at a time; an even spectrum is assumed.
+    Circularly-symmetric Gaussian Fourier coefficients are drawn with
+    variance proportional to the PSD, Hermitian symmetry is imposed, and
+    the inverse transform returns a real series whose averaged
+    periodogram converges to ``psd``.  The series is synthesized at the
+    next 5-smooth length and truncated to ``n``; a stationary circular
+    series stays stationary when truncated.
     The returned samples are read-only: a repeat call with the same
     ``n``, ``fs``, integer seed and PSD samples returns the same array.
     """
     global _last
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if not 0.0 < fs < np.inf:
+        raise ValueError(f"fs must be positive and finite, got {fs}")
     m = _fast_length(n)
-    s = np.asarray(psd(2.0 * np.pi * np.fft.rfftfreq(m, d=1.0 / fs)), dtype=float)
+    f = np.fft.rfftfreq(m, d=1.0 / fs)
+    s = np.empty(len(f))
+    for j in range(0, len(f), _BATCH_SAMPLES):
+        s[j:j + _BATCH_SAMPLES] = psd(2.0 * np.pi * f[j:j + _BATCH_SAMPLES])
+    del f
     if not np.min(s) >= -_NEGATIVE_TOL:
         raise NonPhysicalSpectrum(
             f"target PSD reaches {np.min(s)} on the synthesis grid"
         )
-    s = np.clip(s, 0.0, None)
+    np.clip(s, 0.0, None, out=s)
     key = (n, fs, seed) if isinstance(seed, (int, np.integer)) else None
     last = _last
     if (key is not None and last is not None and last[0] == key
@@ -128,14 +135,23 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
         return TimeSeries(sample_rate=fs, samples=last[2], seed=seed)
     _last = last = None  # free the old series before allocating the new one
 
+    # all real parts are drawn before all imaginary parts; one buffer holds each in turn
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal(len(s))
-    im = rng.standard_normal(len(s))
-    coef = np.sqrt(m * s / 2.0) * (re + 1j * im)
-    coef[0] = np.sqrt(m * s[0]) * re[0]  # DC bin is real
+    gain = np.multiply(m, s)
+    gain /= 2.0
+    np.sqrt(gain, out=gain)
+    coef = np.empty(len(s), dtype=complex)
+    draw = rng.standard_normal(len(s))
+    dc, nyquist = draw[0], draw[-1]
+    np.multiply(gain, draw, out=coef.real)
+    rng.standard_normal(out=draw)
+    np.multiply(gain, draw, out=coef.imag)
+    del gain, draw
+    coef[0] = np.sqrt(m * s[0]) * dc  # DC bin is real
     if m % 2 == 0:
-        coef[-1] = np.sqrt(m * s[-1]) * re[-1]  # Nyquist bin is real
+        coef[-1] = np.sqrt(m * s[-1]) * nyquist  # Nyquist bin is real
     samples = np.fft.irfft(coef, m)[:n]
+    del coef
     samples.flags.writeable = False
     if key is not None:
         _last = (key, s, samples)
@@ -151,6 +167,8 @@ def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> T
     block's start phase, which is computed directly, so rounding does
     not accumulate from block to block.
     """
+    if not (np.isfinite(Omega) and np.isfinite(dphi)):
+        raise ValueError(f"Omega and dphi must be finite, got {Omega} and {dphi}")
     fs = x.sample_rate
     if Omega >= ALIAS_FRACTION * 2.0 * np.pi * fs:
         raise AliasRisk(
@@ -202,7 +220,7 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     norm = m * float(np.mean(win ** 2))
     acc = np.zeros(m // 2 + 1)
     segments = np.lib.stride_tricks.sliding_window_view(y.samples, m)[::step][:n_segments]
-    batch = max(1, _WELCH_BATCH_SAMPLES // m)
+    batch = max(1, _BATCH_SAMPLES // m)
     for k in range(0, n_segments, batch):
         # rows are added one at a time, in segment order, as a per-segment
         # loop would: the estimate does not depend on the batch size

@@ -106,6 +106,16 @@ class TestArtifacts:
         assert meta["n_segments"] == "32"
         assert np.all(cols["sigma"] >= 0)
 
+    def test_montecarlo_manifest_records_sizes(self, tmp_path):
+        out = tmp_path / "out"
+        cfgfile = tmp_path / "exp.ini"
+        cfgfile.write_text("[montecarlo]\nsegments = 32\nsegment_length = 512\n")
+        assert run_cli("montecarlo", "--config", str(cfgfile),
+                       "--out", str(out)) == 0
+        manifest = json.loads((out / "montecarlo_manifest.json").read_text())
+        # 512 + 31 steps of 256, transformed at the 5-smooth 2^6 3^3 5
+        assert (manifest["samples"], manifest["transform_length"]) == (8448, 8640)
+
     def test_correlation_table(self, tmp_path):
         out = tmp_path / "out"
         cfgfile = tmp_path / "exp.ini"

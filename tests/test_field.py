@@ -214,3 +214,11 @@ class TestHeterodyneConfig:
         with pytest.raises(ValueError):
             bh.HeterodyneConfig(Omega=1.0, amplitude=0.0)
         bh.HeterodyneConfig(Omega=0.0)  # homodyne limit allowed
+
+    @pytest.mark.parametrize("field, value", [
+        ("Omega", np.nan), ("Omega", np.inf), ("phi1", np.nan), ("phi2", np.inf),
+        ("beta", -np.inf), ("amplitude", np.inf), ("amplitude", np.nan),
+    ])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            bh.HeterodyneConfig(**{"Omega": 1.0, field: value})

@@ -1,5 +1,7 @@
 """Stochastic engine: synthesis, modulation, PSD estimation, oracle agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,19 @@ class TestSynthesis:
         with pytest.raises(NonPhysicalSpectrum):
             bh.synthesize_quadrature(lambda w: np.nan + 0.0 * np.asarray(w),
                                      1024, 4.0, seed=0)
+
+    @pytest.mark.parametrize("fs", [np.inf, np.nan, 0.0, -4.0])
+    def test_bad_sample_rate_refused(self, fs):
+        def untouched(w):
+            raise AssertionError("PSD evaluated before the sample rate was checked")
+
+        with pytest.raises(ValueError, match="fs must be positive and finite"):
+            bh.synthesize_quadrature(untouched, 1024, fs, seed=0)
+
+    @pytest.mark.parametrize("fs", [np.inf, np.nan, 0.0])
+    def test_series_refuses_bad_sample_rate(self, fs):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            bh.TimeSeries(sample_rate=fs, samples=np.zeros(8))
 
     def test_zero_touching_target_accepted(self):
         # squeezed floor touches zero exactly at threshold; must synthesize
@@ -126,6 +141,75 @@ class TestSynthesisMemo:
         for name in ("figure3_a.csv", "figure3_d.csv", "figure3.svg"):
             assert ((tmp_path / "memo" / name).read_bytes()
                     == (tmp_path / "cold" / name).read_bytes())
+
+
+OPO_TARGET = bh.quadrature_noise_spectrum(
+    bh.opo_spectra(bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.9)), 0.3, 0.9)
+
+
+def whole_grid_synthesis(psd, n, fs, seed):
+    """The synthesis with the PSD evaluated on the whole grid in one pass."""
+    m = montecarlo._fast_length(n)
+    s = np.asarray(psd(2.0 * np.pi * np.fft.rfftfreq(m, d=1.0 / fs)), dtype=float)
+    s = np.clip(s, 0.0, None)
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(len(s))
+    im = rng.standard_normal(len(s))
+    coef = np.sqrt(m * s / 2.0) * (re + 1j * im)
+    coef[0] = np.sqrt(m * s[0]) * re[0]
+    if m % 2 == 0:
+        coef[-1] = np.sqrt(m * s[-1]) * re[-1]
+    return np.fft.irfft(coef, m)[:n]
+
+
+class TestSynthesisSlices:
+    """The target PSD is evaluated one cache-sized slice of bins at a time."""
+
+    BLOCK = montecarlo._BATCH_SAMPLES
+    FS = 10.0
+
+    # 2,501 bins (below one slice) and 150,001 bins (a partial third slice)
+    @pytest.mark.parametrize("n", [5000, 300_000], ids=["one_slice", "partial_slice"])
+    def test_matches_whole_grid(self, irfft_calls, n):
+        lengths = []
+
+        def psd(w):
+            lengths.append(len(w))
+            return OPO_TARGET(w)
+
+        x = bh.synthesize_quadrature(psd, n, self.FS, seed=21)
+        assert np.array_equal(x.samples, whole_grid_synthesis(OPO_TARGET, n, self.FS, 21))
+        assert sum(lengths) == montecarlo._fast_length(n) // 2 + 1
+        assert max(lengths) <= self.BLOCK
+
+    @pytest.mark.parametrize("value, where", [(-1e-6, "last"), (np.nan, "middle")],
+                             ids=["negative_last", "nan_middle"])
+    def test_bad_value_in_one_slice_refused(self, irfft_calls, value, where):
+        n = 300_000
+        omega = 2.0 * np.pi * np.fft.rfftfreq(montecarlo._fast_length(n), d=1.0 / self.FS)
+        bins = len(omega)
+        assert bins % self.BLOCK and bins > 2 * self.BLOCK
+        bad = omega[-1] if where == "last" else omega[self.BLOCK + 5]
+        psd = lambda w: np.where(np.asarray(w) == bad, value, 1.0)
+        with pytest.raises(NonPhysicalSpectrum):
+            bh.synthesize_quadrature(psd, n, self.FS, seed=0)
+        assert irfft_calls == []
+
+
+class TestSynthesisMemory:
+    def test_peak_within_bound(self, monkeypatch):
+        # a memo miss holds the PSD, one gain and one draw buffer beside the
+        # coefficients, then the coefficients beside the transform's output
+        n = 2 ** 20
+        monkeypatch.setattr(montecarlo, "_last", None)
+        tracemalloc.start()
+        try:
+            bh.synthesize_quadrature(OPO_TARGET, n, 10.0, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series_bytes = 8 * montecarlo._fast_length(n)
+        assert peak <= 2.75 * series_bytes
 
 
 class TestWelch:
@@ -285,6 +369,13 @@ class TestModulation:
         ref = np.sqrt(2) * np.cos(Omega * (np.arange(n) / fs) + dphi) * x.samples
         assert len(y) == n
         assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(x.samples))
+
+    @pytest.mark.parametrize("Omega, dphi", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan),
+                                             (1.0, -np.inf)])
+    def test_non_finite_beat_refused(self, Omega, dphi):
+        x = bh.synthesize_quadrature(WHITE, 1024, 4.0, seed=8)
+        with pytest.raises(ValueError, match="must be finite"):
+            bh.synthesize_photocurrent(x, Omega, dphi)
 
     def test_alias_guard(self):
         x = bh.synthesize_quadrature(WHITE, 1024, 1.0, seed=8)

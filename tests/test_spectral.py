@@ -15,6 +15,13 @@ FLAT = bh.QuadratureSpectra(
 THRESHOLD_OPO = bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0)
 
 
+def nan_offset_config():
+    """A config whose offset is NaN, set past the constructor's own check."""
+    cfg = bh.HeterodyneConfig(Omega=0.5)
+    object.__setattr__(cfg, "Omega", np.nan)
+    return cfg
+
+
 def grid_value(sd, w):
     i = np.argmin(np.abs(sd.omega_grid - w))
     assert abs(sd.omega_grid[i] - w) < 1e-12
@@ -101,7 +108,7 @@ class TestHeterodyneSpectrum:
             bh.heterodyne_spectrum(bad, cfg, 1.0, np.linspace(-2, 2, 21))
 
     @pytest.mark.parametrize("params, cfg, omega_max", [
-        (bh.OpoParams(gamma=1.0, epsilon=0.3), bh.HeterodyneConfig(Omega=np.nan), 2.0),
+        (bh.OpoParams(gamma=1.0, epsilon=0.3), nan_offset_config(), 2.0),
         # anti-squeezed branch at threshold: w^2 underflows and the pole
         # evaluates to inf without any grid point at w = 0
         (THRESHOLD_OPO, bh.HeterodyneConfig(Omega=2e-200, phi1=np.pi / 2,
