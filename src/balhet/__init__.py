@@ -18,7 +18,7 @@ from .field import (GaussianFieldState, HeterodyneConfig, OpoParams,
 from .spectral import (SpectralDensity, frequency_grid,
                        heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form, quadrature_noise_spectrum)
-from .correlation import (TimeAverage, intensity_correlation,
+from .correlation import (intensity_correlation,
                           lambda_prime, lambda_prime_quadrature_form,
                           strong_oscillator_background, time_average_reduce,
                           wick_oracle)

@@ -126,7 +126,6 @@ def load_config(path: str | None = None, *, mode: str | None = None,
         het = HeterodyneConfig(Omega=f("heterodyne", "omega"),
                                phi1=f("heterodyne", "phi1"),
                                phi2=f("heterodyne", "phi2"),
-                               beta=f("heterodyne", "beta"),
                                amplitude=f("heterodyne", "amplitude"))
     except (TypeError, ValueError) as exc:
         errors.append(f"[heterodyne] {exc}")
@@ -188,7 +187,7 @@ def load_config(path: str | None = None, *, mode: str | None = None,
                           disturbance=disturbance,
                           lock_tolerance=f("lock", "lock_tolerance"))
         lock_het = HeterodyneConfig(Omega=f("lock", "omega"),
-                                    phi1=phibar0, phi2=phibar0, beta=0.0,
+                                    phi1=phibar0, phi2=phibar0,
                                     amplitude=f("lock", "amplitude"))
         validate_lock(lock_het, lock)
         nu = lock_het.Omega - lock.Omega_prime
@@ -287,14 +286,14 @@ def run_montecarlo(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
 
 
 def run_correlation(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
-    state = opo_field_state(cfg.opo, beta=cfg.heterodyne.beta)
+    state = opo_field_state(cfg.opo)
     het = cfg.heterodyne
     tau = np.linspace(-cfg.correlation_iota_max, cfg.correlation_iota_max,
                       cfg.correlation_points)
     closed = lambda_prime(state, het, tau)
     quad_form = lambda_prime_quadrature_form(state, het, tau)
     T = cfg.correlation_periods * math.pi / het.Omega
-    averaged = np.array([time_average_reduce(state, het, x, T).numeric for x in tau])
+    averaged = np.array([time_average_reduce(state, het, x, T) for x in tau])
     meta = {"config_hash": cfg.hash, "averaging_time": T}
     paths = [_out(cfg, "correlation.csv")]
     write_table_csv(paths[0], {"tau": tau, "lambda_prime": closed,

@@ -20,8 +20,6 @@ which is the arrangement the photodetection moments come in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientAveraging
@@ -210,21 +208,9 @@ def lambda_prime_quadrature_form(state: GaussianFieldState,
     return cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * combo
 
 
-@dataclass(frozen=True)
-class TimeAverage:
-    """Numerical time average of lambda(t, iota) and its closed form."""
-
-    numeric: float
-    closed_form: float
-
-    @property
-    def mismatch(self) -> float:
-        return abs(self.numeric - self.closed_form)
-
-
 def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
-                        iota: float, T: float) -> TimeAverage:
-    """Average lambda(t, iota) over t in [0, T] and compare with lambda'.
+                        iota: float, T: float) -> float:
+    """Average lambda(t, iota) over t in [0, T]; ``lambda_prime`` is its limit.
 
     Uses a uniform composite trapezoid with at least ``_STEPS_PER_PERIOD``
     samples per beat period, which resolves the oscillating terms and
@@ -241,7 +227,5 @@ def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
     n = int(np.ceil(T / (period / _STEPS_PER_PERIOD)))
     t = np.linspace(0.0, T, n + 1)
     values = intensity_correlation(state, cfg, t, iota)
-    numeric = float(np.trapezoid(values, t) / T)
-    closed = float(lambda_prime(state, cfg, iota))
-    return TimeAverage(numeric=numeric, closed_form=closed)
+    return float(np.trapezoid(values, t) / T)
 

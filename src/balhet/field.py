@@ -13,14 +13,16 @@ Conventions used throughout the package:
   the mode operator, ``da+`` its conjugate.
 * Spectra are two-sided in angular frequency and use the transform
   ``integral dtau f(tau) exp(+i w tau)``.
-* ``phibar = (phi1 + phi2)/2 - beta`` selects the measured quadrature and
-  ``dphi = (phi2 - phi1)/2`` sets the beat phase of the heterodyne signal.
+* Every phase is measured from the source's squeezing axis, where
+  ``g20`` is real and negative.  ``phibar = (phi1 + phi2)/2`` selects the
+  measured quadrature and ``dphi = (phi2 - phi1)/2`` sets the beat phase
+  of the heterodyne signal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,8 +67,7 @@ class HeterodyneConfig:
 
     The oscillators sit at ``+/- Omega`` from the optical carrier with
     global phases ``phi1``/``phi2`` and common amplitude ``amplitude`` in
-    sqrt(photons/s).  ``beta`` is the quadrature reference phase of the
-    detected mode.
+    sqrt(photons/s).  Every field after ``Omega`` is keyword-only.
 
     ``Omega = 0`` is accepted so the homodyne limit can be driven through
     the same configuration type; operations that genuinely need a beat
@@ -74,9 +75,9 @@ class HeterodyneConfig:
     """
 
     Omega: float
+    _: KW_ONLY
     phi1: float = 0.0
     phi2: float = 0.0
-    beta: float = 0.0
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -84,14 +85,13 @@ class HeterodyneConfig:
             raise ValueError(f"Omega must lie in [0, inf), got {self.Omega}")
         if not 0.0 < self.amplitude < np.inf:
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
-        if not all(map(math.isfinite, (self.phi1, self.phi2, self.beta))):
-            raise ValueError(f"phi1, phi2 and beta must be finite, got "
-                             f"{self.phi1}, {self.phi2} and {self.beta}")
+        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
+            raise ValueError(f"phi1 and phi2 must be finite, got {self.phi1} and {self.phi2}")
 
     @property
     def phibar(self) -> float:
-        """Quadrature-selection phase (phi1 + phi2)/2 - beta."""
-        return (self.phi1 + self.phi2) / 2.0 - self.beta
+        """Quadrature-selection phase (phi1 + phi2)/2."""
+        return (self.phi1 + self.phi2) / 2.0
 
     @property
     def dphi(self) -> float:
@@ -106,13 +106,12 @@ class GaussianFieldState:
     ``gamma11``/``gamma20`` are evaluable kernels of the time lag (seconds),
     complex-valued, in photons/s.  ``gamma11`` must satisfy
     ``gamma11(-tau) = conj(gamma11(tau))``; ``gamma20`` is even in tau for
-    the source models used here.  ``beta`` fixes the quadrature reference.
+    the source models used here.
     """
 
     mean_amplitude: complex
     gamma11: Callable
     gamma20: Callable
-    beta: float = 0.0
 
     @property
     def fluctuation_flux(self) -> float:
@@ -120,15 +119,15 @@ class GaussianFieldState:
         return float(np.real(self.gamma11(0.0)))
 
 
-def vacuum_state(beta: float = 0.0) -> GaussianFieldState:
+def vacuum_state() -> GaussianFieldState:
     """Zero-mean state with vanishing normally-ordered kernels."""
-    return coherent_state(0j, beta)
+    return coherent_state(0j)
 
 
-def coherent_state(mean_amplitude: complex, beta: float = 0.0) -> GaussianFieldState:
+def coherent_state(mean_amplitude: complex) -> GaussianFieldState:
     """Coherent state: nonzero mean, vanishing normally-ordered kernels."""
     zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-    return GaussianFieldState(complex(mean_amplitude), zero, zero, beta)
+    return GaussianFieldState(complex(mean_amplitude), zero, zero)
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,17 @@ class QuadratureKernels:
 def quadrature_mean(state: GaussianFieldState, phibar: float) -> float:
     """Mean of the rotated quadrature X(phibar) = X cos(phibar) + P sin(phibar).
 
-    With X = a exp(-i beta) + a+ exp(i beta) and P its conjugate quadrature,
-    the mean is 2 Re(<a> e^{-i beta}) cos(phibar) + 2 Im(<a> e^{-i beta}) sin(phibar).
+    With X = a + a+ and P its conjugate quadrature, the mean is
+    2 Re<a> cos(phibar) + 2 Im<a> sin(phibar).
     """
-    rotated = state.mean_amplitude * np.exp(-1j * state.beta)
-    return 2.0 * (rotated.real * np.cos(phibar) + rotated.imag * np.sin(phibar))
+    m = complex(state.mean_amplitude)
+    return 2.0 * (m.real * np.cos(phibar) + m.imag * np.sin(phibar))
 
 
 def quadrature_mean_slope(state: GaussianFieldState, phibar: float) -> float:
     """Derivative of ``quadrature_mean`` with respect to phibar."""
-    rotated = state.mean_amplitude * np.exp(-1j * state.beta)
-    return 2.0 * (-rotated.real * np.sin(phibar) + rotated.imag * np.cos(phibar))
+    m = complex(state.mean_amplitude)
+    return 2.0 * (-m.real * np.sin(phibar) + m.imag * np.cos(phibar))
 
 
 def opo_spectra(params: OpoParams) -> QuadratureSpectra:
@@ -214,7 +213,7 @@ def opo_spectra(params: OpoParams) -> QuadratureSpectra:
     return QuadratureSpectra(phi11=phi11, phi22=phi22, phi12_plus_phi21=cross)
 
 
-def opo_field_state(params: OpoParams, beta: float = 0.0,
+def opo_field_state(params: OpoParams, *,
                     mean_amplitude: complex = 0j) -> GaussianFieldState:
     """Time-domain kernels of the parametric-oscillator output.
 
@@ -222,7 +221,6 @@ def opo_field_state(params: OpoParams, beta: float = 0.0,
 
         g11(tau) = (eps gamma / 4 eta) [exp(-km|tau|)/km - exp(-kp|tau|)/kp]
         g20(tau) = -(eps gamma / 4 eta) [exp(-km|tau|)/km + exp(-kp|tau|)/kp]
-                   * exp(-2 i beta)
 
     with kp = gamma/2 + eps and km = gamma/2 - eps.  Requires a pump
     strictly below threshold (km > 0); at threshold the anti-squeezed
@@ -236,10 +234,9 @@ def opo_field_state(params: OpoParams, beta: float = 0.0,
             "time-domain kernels require a pump strictly below threshold"
         )
     scale = eps * gamma / (4.0 * eta)
-    phase = np.exp(-2j * beta)
 
     if eps == 0.0:
-        return coherent_state(mean_amplitude, beta)
+        return coherent_state(mean_amplitude)
 
     def g11(tau):
         at = np.abs(np.asarray(tau, dtype=float))
@@ -247,9 +244,9 @@ def opo_field_state(params: OpoParams, beta: float = 0.0,
 
     def g20(tau):
         at = np.abs(np.asarray(tau, dtype=float))
-        return -scale * (np.exp(-km * at) / km + np.exp(-kp * at) / kp) * phase
+        return -scale * (np.exp(-km * at) / km + np.exp(-kp * at) / kp) + 0j
 
-    return GaussianFieldState(complex(mean_amplitude), g11, g20, beta)
+    return GaussianFieldState(complex(mean_amplitude), g11, g20)
 
 
 def gammas_to_quadrature_correlations(state: GaussianFieldState) -> QuadratureKernels:
@@ -257,45 +254,41 @@ def gammas_to_quadrature_correlations(state: GaussianFieldState) -> QuadratureKe
 
     Inverts the linear relations
 
-        Re g11          = (k11 + k22)/4
-        Im g11          = (k12 - k21)/4
-        Re[g20 e^{2ib}] = (k11 - k22)/4
-        Im[g20 e^{2ib}] = -(k12 + k21)/4
+        Re g11 = (k11 + k22)/4
+        Im g11 = (k12 - k21)/4
+        Re g20 = (k11 - k22)/4
+        Im g20 = -(k12 + k21)/4
     """
-    b2 = np.exp(2j * state.beta)
     g11, g20 = state.gamma11, state.gamma20
 
     def k11(tau):
-        return 2.0 * np.real(g11(tau)) + 2.0 * np.real(g20(tau) * b2)
+        return 2.0 * np.real(g11(tau)) + 2.0 * np.real(g20(tau))
 
     def k22(tau):
-        return 2.0 * np.real(g11(tau)) - 2.0 * np.real(g20(tau) * b2)
+        return 2.0 * np.real(g11(tau)) - 2.0 * np.real(g20(tau))
 
     def k12(tau):
-        return 2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau) * b2)
+        return 2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
 
     def k21(tau):
-        return -2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau) * b2)
+        return -2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
 
     return QuadratureKernels(k11=k11, k22=k22, k12=k12, k21=k21)
 
 
-def quadrature_correlations_to_gammas(kernels: QuadratureKernels,
-                                      beta: float = 0.0) -> GaussianFieldState:
+def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFieldState:
     """Forward map from quadrature kernels back to the complex field kernels.
 
     Composing with ``gammas_to_quadrature_correlations`` is the identity
     (up to rounding) in either direction.  The returned state carries zero
     mean amplitude.
     """
-    phase = np.exp(-2j * beta)
-
     def g11(tau):
         return ((kernels.k11(tau) + kernels.k22(tau)) / 4.0
                 + 1j * (kernels.k12(tau) - kernels.k21(tau)) / 4.0)
 
     def g20(tau):
         return ((kernels.k11(tau) - kernels.k22(tau)) / 4.0
-                - 1j * (kernels.k12(tau) + kernels.k21(tau)) / 4.0) * phase
+                - 1j * (kernels.k12(tau) + kernels.k21(tau)) / 4.0)
 
-    return GaussianFieldState(0j, g11, g20, beta)
+    return GaussianFieldState(0j, g11, g20)

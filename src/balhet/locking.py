@@ -324,7 +324,7 @@ def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
         )
 
     # Stable lock points are the maxima of <X(phibar)>.
-    target = math.remainder(cmath.phase(m * cmath.exp(-1j * state.beta)), TWO_PI)
+    target = cmath.phase(m)
     offset = _wrap_angle(phibar - target)
     within = np.abs(offset) < lock.lock_tolerance
     tail = max(1, n // 10)

@@ -205,8 +205,11 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     ``psd sqrt((1 + 2 sum_j (1 - j/K) rho_j^2) / K)`` over K segments whose
     windows overlap with correlation rho_j at a lag of j steps (Percival &
     Walden 1993), times sqrt(2) at the DC and Nyquist bins, which have one
-    chi-square degree of freedom instead of two.
+    chi-square degree of freedom instead of two.  A series holding NaN or
+    inf is refused, since it would turn the whole estimate into NaN.
     """
+    if not np.isfinite(y.samples).all():
+        raise ValueError("series has non-finite samples")
     n = len(y.samples)
     m, step = cfg.segment_length, cfg.step
     if n < m:

@@ -107,18 +107,17 @@ def test_criterion_5_expansion_cancellation_and_truncation():
             cfg = bh.HeterodyneConfig(Omega=rng.uniform(0.5, 5.0),
                                       phi1=rng.uniform(-np.pi, np.pi),
                                       phi2=rng.uniform(-np.pi, np.pi),
-                                      beta=rng.uniform(-np.pi, np.pi),
                                       amplitude=rng.uniform(2.0, 80.0))
             joint, product = bh.strong_oscillator_background(
                 state, cfg, rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0))
             assert abs(joint - product) <= 1e-10 * abs(joint)
 
-        state = random_state(np.random.default_rng(506), beta=0.4)
+        state = random_state(np.random.default_rng(506))
         amplitudes = np.array([1e2, 1e3, 1e4])
         gaps = []
         for amp in amplitudes:
             cfg = bh.HeterodyneConfig(Omega=2.1, phi1=0.3, phi2=-0.8,
-                                      beta=0.4, amplitude=float(amp))
+                                      amplitude=float(amp))
             lam = bh.intensity_correlation(state, cfg, 0.31, 0.17)
             wick = bh.wick_oracle(state, cfg, 0.31, 0.17)
             gaps.append(abs(wick - lam) / amp ** 2)
@@ -134,18 +133,19 @@ def test_criterion_6_time_average_reduction():
             cfg = bh.HeterodyneConfig(Omega=rng.uniform(0.5, 4.0),
                                       phi1=rng.uniform(-np.pi, np.pi),
                                       phi2=rng.uniform(-np.pi, np.pi),
-                                      beta=state.beta, amplitude=1.0)
+                                      amplitude=1.0)
             iota = 0.07
-            T = int(rng.integers(12, 80)) * np.pi / cfg.Omega
-            result = bh.time_average_reduce(state, cfg, iota, T)
-            assert result.mismatch <= 1e-10 * max(abs(result.closed_form), 1e-9)
+            T = int(rng.integers(20, 80)) * np.pi / cfg.Omega  # at least ten beat periods
+            closed = float(bh.lambda_prime(state, cfg, iota))
+            mismatch = abs(bh.time_average_reduce(state, cfg, iota, T) - closed)
+            assert mismatch <= 1e-10 * max(abs(closed), 1e-9)
 
-        state = random_state(np.random.default_rng(607), beta=0.1)
-        cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, beta=0.1,
-                                  amplitude=1.0)
+        state = random_state(np.random.default_rng(607))
+        cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, amplitude=1.0)
         counts = np.array([20, 64, 200, 640])
         T = (counts + 0.25) * np.pi / cfg.Omega
-        mism = [bh.time_average_reduce(state, cfg, 0.13, float(Tk)).mismatch
+        closed = float(bh.lambda_prime(state, cfg, 0.13))
+        mism = [abs(bh.time_average_reduce(state, cfg, 0.13, float(Tk)) - closed)
                 for Tk in T]
         slope = np.polyfit(np.log10(T), np.log10(mism), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
@@ -159,7 +159,6 @@ def test_criterion_7_representation_equivalence():
             cfg = bh.HeterodyneConfig(Omega=rng.uniform(0.3, 5.0),
                                       phi1=rng.uniform(-np.pi, np.pi),
                                       phi2=rng.uniform(-np.pi, np.pi),
-                                      beta=state.beta,
                                       amplitude=rng.uniform(0.5, 2.0))
             tau = rng.uniform(-4.0, 4.0, size=25)
             a = bh.lambda_prime(state, cfg, tau)
@@ -172,7 +171,7 @@ def test_criterion_8_phase_lock():
     with report(8, "modulation lock converges and its error line is calibrated"):
         state = bh.coherent_state(1.0 + 0j)
         cfg = bh.HeterodyneConfig(Omega=TWO_PI * 1280.0, phi1=0.3, phi2=0.3,
-                                  beta=0.0, amplitude=0.1)
+                                  amplitude=0.1)
         lock = bh.LockConfig(Omega_prime=TWO_PI * 1152.0, theta=0.2)
 
         trajectory = bh.closed_loop_simulate(state, cfg, lock)

@@ -228,6 +228,7 @@ class TestExitCodes:
         ("spectrum", "[grid]\nomega_max = inf\n", "[grid] omega_max"),
         ("spectrum", "[heterodyne]\nomega = nan\n", "[heterodyne] omega"),
         ("spectrum", "[heterodyne]\nomega0 = 0.0\n", "[heterodyne]"),
+        ("spectrum", "[heterodyne]\nbeta = 0.3\n", "[heterodyne]"),
         ("montecarlo", "[montecarlo]\nsample_rate = -1\n", "[montecarlo] sample_rate"),
         ("correlation", "[opo]\nepsilon = 0.3\n[heterodyne]\nomega = 0\n",
          "[heterodyne] omega"),
@@ -262,8 +263,8 @@ class TestExitCodes:
          "[correlation] averaging window plus iota_max"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
-            "sample_rate", "correlation_omega_zero", "correlation_points",
-            "seed_negative", "seed_override_negative", "demod_clash",
+            "beta_removed", "sample_rate", "correlation_omega_zero",
+            "correlation_points", "seed_negative", "seed_override_negative", "demod_clash",
             "montecarlo_alias", "figure3_overlay_alias", "segments_below_min",
             "figure3_overlay_segments", "averaging_periods_10",
             "averaging_periods_19_9", "theta_overflow", "theta_overflow_lock",
@@ -425,7 +426,6 @@ _RUN_OPTIONAL = {
     ("heterodyne", "omega"): st.floats(0.0, 6.0),
     ("heterodyne", "phi1"): _ANGLE,
     ("heterodyne", "phi2"): _ANGLE,
-    ("heterodyne", "beta"): _ANGLE,
     ("heterodyne", "amplitude"): st.floats(0.01, 100.0),
     ("grid", "omega_max"): st.floats(0.01, 10.0),
     ("grid", "points"): st.integers(3, 300),

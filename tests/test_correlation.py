@@ -8,12 +8,11 @@ from balhet.errors import InsufficientAveraging
 from test_field import random_state
 
 
-def random_lo(rng, amplitude=1.0, beta=None):
+def random_lo(rng, amplitude=1.0):
     return bh.HeterodyneConfig(
         Omega=rng.uniform(0.5, 5.0),
         phi1=rng.uniform(-np.pi, np.pi),
         phi2=rng.uniform(-np.pi, np.pi),
-        beta=rng.uniform(-np.pi, np.pi) if beta is None else beta,
         amplitude=amplitude,
     )
 
@@ -66,8 +65,7 @@ class TestIntensityCorrelation:
 
     def test_single_quadrature_reduction(self):
         # the measured-quadrature form equals the eight-term sum for general
-        # states, oscillator phases and a reference phase beta unrelated to
-        # the state's, at scalar, array and broadcast (t, iota)
+        # states and oscillator phases, at scalar, array and broadcast (t, iota)
         rng = np.random.default_rng(41)
         for _ in range(200):
             state = random_state(rng)
@@ -96,9 +94,8 @@ class TestWickOracle:
         # zero-mean source: the two routes differ only by amplitude-free
         # kernel-squared terms, tiny against the kept quadratic terms
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
-        state = bh.opo_field_state(params, beta=0.0)
-        cfg = bh.HeterodyneConfig(Omega=1.5, phi1=0.0, phi2=0.0, beta=0.0,
-                                  amplitude=1e3)
+        state = bh.opo_field_state(params)
+        cfg = bh.HeterodyneConfig(Omega=1.5, phi1=0.0, phi2=0.0, amplitude=1e3)
         lam = bh.intensity_correlation(state, cfg, 0.0, 0.0)
         wick = bh.wick_oracle(state, cfg, 0.0, 0.0)
         assert wick == pytest.approx(lam, rel=1e-5)
@@ -118,13 +115,12 @@ class TestWickOracle:
         # and pinned with margin as a regression bound
         pinned_c = 16.0
         rng = np.random.default_rng(33)
-        state = random_state(rng, beta=0.4)
+        state = random_state(rng)
         t0, i0 = 0.31, 0.17
         amplitudes = np.array([1e2, 1e3, 1e4])
         gaps = []
         for amp in amplitudes:
-            cfg = bh.HeterodyneConfig(Omega=2.1, phi1=0.3, phi2=-0.8,
-                                      beta=0.4, amplitude=amp)
+            cfg = bh.HeterodyneConfig(Omega=2.1, phi1=0.3, phi2=-0.8, amplitude=amp)
             lam = bh.intensity_correlation(state, cfg, t0, i0)
             wick = bh.wick_oracle(state, cfg, t0, i0)
             gaps.append(abs(wick - lam) / amp ** 2)
@@ -141,7 +137,7 @@ class TestLambdaPrime:
             cfg = bh.HeterodyneConfig(Omega=rng.uniform(0.5, 4.0),
                                       phi1=rng.uniform(-np.pi, np.pi),
                                       phi2=rng.uniform(-np.pi, np.pi),
-                                      beta=state.beta, amplitude=1.0)
+                                      amplitude=1.0)
             tau = rng.uniform(-3, 3, size=15)
             a = bh.lambda_prime(state, cfg, tau)
             b = bh.lambda_prime_quadrature_form(state, cfg, tau)
@@ -151,9 +147,8 @@ class TestLambdaPrime:
     def test_amplitude_quadrature_lock_form(self):
         # phibar = 0: only the k11 branch survives
         rng = np.random.default_rng(35)
-        state = random_state(rng, beta=0.3)
-        cfg = bh.HeterodyneConfig(Omega=1.2, phi1=0.3, phi2=0.3, beta=0.3,
-                                  amplitude=2.0)
+        state = random_state(rng)
+        cfg = bh.HeterodyneConfig(Omega=1.2, phi1=0.3, phi2=-0.3, amplitude=2.0)
         assert cfg.phibar == pytest.approx(0.0)
         k = bh.gammas_to_quadrature_correlations(state)
         tau = np.linspace(-2, 2, 21)
@@ -163,9 +158,9 @@ class TestLambdaPrime:
 
     def test_diagonal_mix_at_pi_over_four(self):
         rng = np.random.default_rng(36)
-        state = random_state(rng, beta=0.0)
+        state = random_state(rng)
         cfg = bh.HeterodyneConfig(Omega=0.9, phi1=np.pi / 4, phi2=np.pi / 4,
-                                  beta=0.0, amplitude=1.5)
+                                  amplitude=1.5)
         assert cfg.phibar == pytest.approx(np.pi / 4)
         k = bh.gammas_to_quadrature_correlations(state)
         tau = np.linspace(-2, 2, 17)
@@ -178,12 +173,42 @@ class TestLambdaPrime:
         # vanishing g20: lambda' = 4 E^2 cos(W tau) Re g11(tau), any phases
         g11 = lambda tau: np.exp(-np.abs(tau)) * (0.8 + 0.3j * np.sign(tau))
         zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-        state = bh.GaussianFieldState(0j, g11, zero, beta=1.2)
-        cfg = bh.HeterodyneConfig(Omega=1.7, phi1=0.5, phi2=-1.1, beta=1.2,
-                                  amplitude=3.0)
+        state = bh.GaussianFieldState(0j, g11, zero)
+        cfg = bh.HeterodyneConfig(Omega=1.7, phi1=0.5, phi2=-1.1, amplitude=3.0)
         tau = np.linspace(-3, 3, 25)
         expected = 4.0 * 9.0 * np.cos(1.7 * tau) * np.real(g11(tau))
         assert np.allclose(bh.lambda_prime(state, cfg, tau), expected, atol=1e-12)
+
+
+class TestPhaseFrame:
+    def test_rotation_of_frame_and_phases_changes_nothing(self):
+        # rotating the field by theta (<a> -> <a> e^{-i theta}, so
+        # g20 = <da+ da+> -> g20 e^{2i theta}) while shifting both
+        # oscillator phases by -theta leaves every observable unchanged:
+        # measuring phases from the squeezing axis loses no generality
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            state = random_state(rng)
+            theta = rng.uniform(-np.pi, np.pi)
+            rotated = bh.GaussianFieldState(
+                state.mean_amplitude * np.exp(-1j * theta), state.gamma11,
+                lambda tau, g20=state.gamma20, r=np.exp(2j * theta): g20(tau) * r)
+            cfg = random_lo(rng, amplitude=rng.uniform(0.5, 3.0))
+            shifted = bh.HeterodyneConfig(Omega=cfg.Omega, phi1=cfg.phi1 - theta,
+                                          phi2=cfg.phi2 - theta, amplitude=cfg.amplitude)
+            t, tau = rng.uniform(0, 5, size=(2, 9))
+            phibar = rng.uniform(-np.pi, np.pi, size=9)
+            for f, args in [(bh.lambda_prime, (tau,)),
+                            (bh.lambda_prime_quadrature_form, (tau,)),
+                            (bh.intensity_correlation, (t, tau)),
+                            (bh.wick_oracle, (t, tau))]:
+                want = f(state, cfg, *args)
+                got = f(rotated, shifted, *args)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for f in (bh.quadrature_mean, bh.quadrature_mean_slope):
+                want = f(state, phibar)
+                got = f(rotated, phibar - theta)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTimeAverage:
@@ -196,19 +221,20 @@ class TestTimeAverage:
             if abs(np.cos(cfg.Omega * iota)) < 0.2:
                 iota = 0.05
             T = 40 * np.pi / cfg.Omega
-            result = bh.time_average_reduce(state, cfg, iota, T)
-            assert result.mismatch <= 1e-10 * max(abs(result.closed_form), 1e-12)
+            closed = float(bh.lambda_prime(state, cfg, iota))
+            mismatch = abs(bh.time_average_reduce(state, cfg, iota, T) - closed)
+            assert mismatch <= 1e-10 * max(abs(closed), 1e-12)
 
     def test_incommensurate_window_decays_inversely(self):
         rng = np.random.default_rng(38)
-        state = random_state(rng, beta=0.1)
-        cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, beta=0.1,
-                                  amplitude=1.0)
+        state = random_state(rng)
+        cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, amplitude=1.0)
         iota = 0.13
         # quarter-period offsets keep the leftover oscillation amplitude fixed
         counts = np.array([20, 64, 200, 640])
         T = (counts + 0.25) * np.pi / cfg.Omega
-        mism = [bh.time_average_reduce(state, cfg, iota, float(Tk)).mismatch
+        closed = float(bh.lambda_prime(state, cfg, iota))
+        mism = [abs(bh.time_average_reduce(state, cfg, iota, float(Tk)) - closed)
                 for Tk in T]
         slope = np.polyfit(np.log10(T), np.log10(mism), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
@@ -234,10 +260,8 @@ class TestSpectralConsistency:
         # cross-module: the transform of lambda' with a flat detector must
         # reproduce the analytic heterodyne spectrum after normalization
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
-        beta = 0.0
-        state = bh.opo_field_state(params, beta=beta)
-        cfg = bh.HeterodyneConfig(Omega=2.2, phi1=0.5, phi2=0.1, beta=beta,
-                                  amplitude=1.0)
+        state = bh.opo_field_state(params)
+        cfg = bh.HeterodyneConfig(Omega=2.2, phi1=0.5, phi2=0.1, amplitude=1.0)
         tau = np.linspace(0.0, 250.0, 50001)
         lam = bh.lambda_prime(state, cfg, tau)
         spectra = bh.opo_spectra(params)

@@ -7,10 +7,8 @@ import balhet as bh
 from balhet.errors import ThresholdDivergence
 
 
-def random_state(rng, beta=None):
+def random_state(rng):
     """Kernel pair with the model symmetries (g11 Hermitian, g20 even)."""
-    if beta is None:
-        beta = rng.uniform(-np.pi, np.pi)
     a1, a2 = rng.uniform(0.3, 2.0, size=2)
     b1, b2 = rng.uniform(0.2, 3.0, size=2)
     c1 = rng.normal() + 1j * rng.normal()
@@ -26,7 +24,7 @@ def random_state(rng, beta=None):
         return c2 * np.exp(-a2 * at) * np.cos(b2 * tau)
 
     mean = rng.normal() + 1j * rng.normal()
-    return bh.GaussianFieldState(mean, g11, g20, beta)
+    return bh.GaussianFieldState(mean, g11, g20)
 
 
 class TestQuadratureMean:
@@ -36,7 +34,7 @@ class TestQuadratureMean:
             assert bh.quadrature_mean(state, phibar) == 0.0
 
     def test_unit_amplitude(self):
-        state = bh.coherent_state(1.0 + 0j, beta=0.0)
+        state = bh.coherent_state(1.0 + 0j)
         assert bh.quadrature_mean(state, 0.0) == pytest.approx(2.0, abs=1e-15)
         assert bh.quadrature_mean(state, np.pi / 2) == pytest.approx(0.0, abs=1e-15)
 
@@ -44,18 +42,16 @@ class TestQuadratureMean:
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = rng.normal() + 1j * rng.normal()
-            beta = rng.uniform(-np.pi, np.pi)
             phibar = rng.uniform(-np.pi, np.pi)
-            state = bh.coherent_state(m, beta=beta)
-            # direct evaluation: <a e^{-i(beta+phibar)}> + c.c.
-            expected = 2.0 * np.real(m * np.exp(-1j * (beta + phibar)))
+            state = bh.coherent_state(m)
+            # direct evaluation: <a e^{-i phibar}> + c.c.
+            expected = 2.0 * np.real(m * np.exp(-1j * phibar))
             assert bh.quadrature_mean(state, phibar) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_slope_matches_finite_difference(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            state = bh.coherent_state(rng.normal() + 1j * rng.normal(),
-                                      beta=rng.uniform(-np.pi, np.pi))
+            state = bh.coherent_state(rng.normal() + 1j * rng.normal())
             phibar = rng.uniform(-np.pi, np.pi)
             h = 1e-6
             fd = (bh.quadrature_mean(state, phibar + h)
@@ -117,7 +113,7 @@ class TestKernelConversions:
         # vanishing g20: k11 = k22 = 2 Re g11, k12 = -k21 = 2 Im g11
         g11 = lambda tau: np.exp(-np.abs(tau)) * (1.0 + 0.5j * np.sign(tau))
         zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-        state = bh.GaussianFieldState(0j, g11, zero, beta=0.7)
+        state = bh.GaussianFieldState(0j, g11, zero)
         k = bh.gammas_to_quadrature_correlations(state)
         tau = np.linspace(-3, 3, 31)
         assert np.allclose(k.k11(tau), 2 * np.real(g11(tau)), atol=1e-15)
@@ -126,12 +122,11 @@ class TestKernelConversions:
         assert np.allclose(k.k21(tau), -2 * np.imag(g11(tau)), atol=1e-15)
 
     def test_fully_squeezed_example(self):
-        # g11 = exp(-|tau|), g20 e^{2i beta} = -exp(-|tau|):
+        # g11 = exp(-|tau|), g20 = -exp(-|tau|) on the squeezing axis:
         # all fluctuation power in the conjugate quadrature.
-        beta = 0.4
         g11 = lambda tau: np.exp(-np.abs(tau)) + 0j
-        g20 = lambda tau: -np.exp(-np.abs(tau)) * np.exp(-2j * beta)
-        state = bh.GaussianFieldState(0j, g11, g20, beta=beta)
+        g20 = lambda tau: -np.exp(-np.abs(tau)) + 0j
+        state = bh.GaussianFieldState(0j, g11, g20)
         k = bh.gammas_to_quadrature_correlations(state)
         tau = np.linspace(-2, 2, 21)
         assert np.allclose(k.k11(tau), 0.0, atol=1e-14)
@@ -145,7 +140,7 @@ class TestKernelConversions:
         for _ in range(25):
             state = random_state(rng)
             k = bh.gammas_to_quadrature_correlations(state)
-            back = bh.quadrature_correlations_to_gammas(k, state.beta)
+            back = bh.quadrature_correlations_to_gammas(k)
             for a, b in ((state.gamma11, back.gamma11), (state.gamma20, back.gamma20)):
                 ref = np.asarray(a(tau))
                 got = np.asarray(b(tau))
@@ -159,7 +154,7 @@ class TestKernelConversions:
         interp = {name: (lambda v: (lambda x: np.interp(x, tau, v)))(v)
                   for name, v in values.items()}
         kernels = bh.QuadratureKernels(interp["a"], interp["b"], interp["c"], interp["d"])
-        state = bh.quadrature_correlations_to_gammas(kernels, beta=0.9)
+        state = bh.quadrature_correlations_to_gammas(kernels)
         back = bh.gammas_to_quadrature_correlations(state)
         for name, f in zip("abcd", (back.k11, back.k22, back.k12, back.k21)):
             assert np.max(np.abs(f(tau) - values[name])) <= 1e-12
@@ -170,7 +165,7 @@ class TestOpoFieldState:
         # independent route: numerically Fourier transform the time-domain
         # kernels and compare against the analytic Lorentzians
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
-        state = bh.opo_field_state(params, beta=0.25)
+        state = bh.opo_field_state(params)
         k = bh.gammas_to_quadrature_correlations(state)
         spectra = bh.opo_spectra(params)
         tau = np.linspace(-400.0, 400.0, 2 ** 20 + 1)
@@ -182,13 +177,13 @@ class TestOpoFieldState:
 
     def test_cross_kernels_vanish(self):
         params = bh.OpoParams(gamma=1.0, epsilon=0.3)
-        k = bh.gammas_to_quadrature_correlations(bh.opo_field_state(params, beta=0.6))
+        k = bh.gammas_to_quadrature_correlations(bh.opo_field_state(params))
         tau = np.linspace(-5, 5, 21)
         assert np.allclose(k.k12(tau), 0.0, atol=1e-15)
         assert np.allclose(k.k21(tau), 0.0, atol=1e-15)
 
     def test_kernel_symmetries(self):
-        state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.45), beta=1.1)
+        state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.45))
         tau = np.linspace(0.1, 8.0, 30)
         assert np.allclose(state.gamma11(-tau), np.conj(state.gamma11(tau)), atol=1e-15)
         assert np.allclose(state.gamma20(-tau), state.gamma20(tau), atol=1e-15)
@@ -204,8 +199,8 @@ class TestOpoFieldState:
 
 class TestHeterodyneConfig:
     def test_derived_phases(self):
-        cfg = bh.HeterodyneConfig(Omega=1.0, phi1=0.2, phi2=0.8, beta=0.1)
-        assert cfg.phibar == pytest.approx(0.5 - 0.1)
+        cfg = bh.HeterodyneConfig(Omega=1.0, phi1=0.2, phi2=0.8)
+        assert cfg.phibar == pytest.approx(0.5)
         assert cfg.dphi == pytest.approx(0.3)
 
     def test_invariants(self):
@@ -215,9 +210,19 @@ class TestHeterodyneConfig:
             bh.HeterodyneConfig(Omega=1.0, amplitude=0.0)
         bh.HeterodyneConfig(Omega=0.0)  # homodyne limit allowed
 
+    def test_phases_and_amplitude_are_keyword_only(self):
+        # a positional call in the field order of earlier versions
+        # (Omega, phi1, phi2, beta) must not bind a phase as the amplitude
+        with pytest.raises(TypeError):
+            bh.HeterodyneConfig(0.05, 0.0, 0.0, 0.3)
+        with pytest.raises(TypeError):
+            bh.HeterodyneConfig(0.05, 0.1)
+        with pytest.raises(TypeError):
+            bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.3), 0.3)
+
     @pytest.mark.parametrize("field, value", [
         ("Omega", np.nan), ("Omega", np.inf), ("phi1", np.nan), ("phi2", np.inf),
-        ("beta", -np.inf), ("amplitude", np.inf), ("amplitude", np.nan),
+        ("phi1", -np.inf), ("amplitude", np.inf), ("amplitude", np.nan),
     ])
     def test_non_finite_refused(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -25,8 +25,7 @@ STATE = bh.coherent_state(1.0 + 0j)
 
 def het_config(phibar=0.3, amplitude=0.1, dphi=0.0):
     return bh.HeterodyneConfig(Omega=TWO_PI * F_HET, phi1=phibar - dphi,
-                               phi2=phibar + dphi, beta=0.0,
-                               amplitude=amplitude)
+                               phi2=phibar + dphi, amplitude=amplitude)
 
 
 def lock_config(**kw):
@@ -95,13 +94,11 @@ class TestMeanPhotocurrent:
     def test_unmodulated_form(self):
         # theta = 0: DC + beat at the heterodyne frequency + oscillator power
         cfg = bh.HeterodyneConfig(Omega=TWO_PI * F_HET, phi1=0.4, phi2=1.0,
-                                  beta=0.2, amplitude=0.7)
+                                  amplitude=0.7)
         lock = lock_config(theta=0.0)
         t = np.linspace(0.0, 3.0 / F_HET, 257)
         j = bh.mean_photocurrent(STATE, cfg, lock, t, eta=0.9)
-        xmean = bh.quadrature_mean(
-            bh.GaussianFieldState(STATE.mean_amplitude, STATE.gamma11,
-                                  STATE.gamma20, beta=0.2), cfg.phibar)
+        xmean = bh.quadrature_mean(STATE, cfg.phibar)
         expected = 0.9 * (
             abs(STATE.mean_amplitude) ** 2
             + 2.0 * cfg.amplitude * np.cos(cfg.Omega * t + cfg.dphi) * xmean

@@ -1,6 +1,7 @@
 """Stochastic engine: synthesis, modulation, PSD estimation, oracle agreement."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,17 @@ class TestWelch:
         x = bh.synthesize_quadrature(WHITE, 2048, 4.0, seed=5)
         with pytest.raises(InsufficientData):
             bh.welch_psd(x, welch)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused(self, bad):
+        # one bad sample would turn every bin into NaN; refuse before any
+        # transform, so no numpy warning escapes either
+        samples = np.zeros(4096)
+        samples[1000] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                bh.welch_psd(bh.TimeSeries(4.0, samples), tiny_welch())
 
 
 class TestModulation:
