@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .correlation import (MIN_BEAT_PERIODS, lambda_prime, lambda_prime_quadrature_form,
+from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature_form,
                           time_average_reduce)
-from .errors import BalhetError, ConfigInvalid
+from .errors import BalhetError, ConfigInvalid, DemodClash, InsufficientAveraging
 from .field import HeterodyneConfig, OpoParams, coherent_state, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate, validate_lock
-from .montecarlo import (ALIAS_FRACTION, WelchConfig, _fast_length, monte_carlo_heterodyne,
+from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
                          monte_carlo_homodyne)
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
 from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
@@ -100,6 +100,14 @@ def _get(parser, section, key, conv, errors, rule=None):
     return value
 
 
+def _check(errors, where, check, *args, **kwargs):
+    """Call a library constructor or check; record a refusal under ``where``."""
+    try:
+        return check(*args, **kwargs)
+    except (TypeError, ValueError, BalhetError) as exc:
+        errors.append(f"{where} {exc}")
+
+
 def load_config(path: str | None = None, *, mode: str | None = None,
                 seed: int | None = None, out: str | None = None) -> ExperimentConfig:
     """Parse and validate an INI config, applying CLI overrides."""
@@ -116,57 +124,41 @@ def load_config(path: str | None = None, *, mode: str | None = None,
         errors.append(f"[run] seed: must be non-negative, got {eff_seed}")
     eff_out = out or parser.get("run", "out")
 
-    try:
-        opo = OpoParams(gamma=f("opo", "gamma"), epsilon=f("opo", "epsilon"),
-                        eta=f("opo", "eta"))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"[opo] {exc}")
-        opo = None
-    try:
-        het = HeterodyneConfig(Omega=f("heterodyne", "omega"),
-                               phi1=f("heterodyne", "phi1"),
-                               phi2=f("heterodyne", "phi2"),
-                               amplitude=f("heterodyne", "amplitude"))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"[heterodyne] {exc}")
-        het = None
-    if eff_mode == "correlation" and het is not None and not het.Omega > 0:
-        errors.append("[heterodyne] omega: must be positive in correlation mode")
-    try:
-        welch = WelchConfig(segment_length=i("montecarlo", "segment_length"),
-                            overlap=f("montecarlo", "overlap"),
-                            window=parser.get("montecarlo", "window"),
-                            n_segments_min=i("montecarlo", "n_segments_min"))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"[montecarlo] {exc}")
-        welch = None
+    opo = _check(errors, "[opo]", OpoParams, gamma=f("opo", "gamma"),
+                 epsilon=f("opo", "epsilon"), eta=f("opo", "eta"))
+    het = _check(errors, "[heterodyne]", HeterodyneConfig, Omega=f("heterodyne", "omega"),
+                 phi1=f("heterodyne", "phi1"), phi2=f("heterodyne", "phi2"),
+                 amplitude=f("heterodyne", "amplitude"))
+    welch = _check(errors, "[montecarlo]", WelchConfig,
+                   segment_length=i("montecarlo", "segment_length"),
+                   overlap=f("montecarlo", "overlap"),
+                   window=parser.get("montecarlo", "window"),
+                   n_segments_min=i("montecarlo", "n_segments_min"))
 
     grid_omega_max = f("grid", "omega_max", _POSITIVE)
     grid_points = i("grid", "points", (lambda v: v >= 3, "at least 3"))
     mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
     overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
-    uses_mc = eff_mode == "montecarlo" or (eff_mode == "figure3" and (overlay_seeds or 0) > 0)
-    n_min = welch.n_segments_min if uses_mc and welch else None
-    mc_segments = i("montecarlo", "segments",
-                    n_min and (lambda v: v >= n_min, f"at least n_segments_min = {n_min}"))
-    limit = ALIAS_FRACTION * 2.0 * math.pi * (mc_sample_rate or math.inf)
-    if eff_mode == "montecarlo" and het is not None and not het.Omega < limit:
-        errors.append(f"[heterodyne] omega: must lie below the alias limit {limit}")
-    top = max(FIGURE3_RATIOS.values())
-    if uses_mc and eff_mode == "figure3" and opo is not None and not top * opo.gamma < limit:
-        errors.append(f"[opo] gamma: {top} * gamma must lie below the alias limit {limit}")
+    mc_segments = i("montecarlo", "segments")
+    if eff_mode == "montecarlo" or (eff_mode == "figure3" and (overlay_seeds or 0) > 0):
+        if welch and mc_segments is not None:
+            _check(errors, "[montecarlo]", welch.total_samples, mc_segments)
+        if mc_sample_rate and het and eff_mode == "montecarlo":
+            _check(errors, "[heterodyne] omega:", check_alias, het.Omega, mc_sample_rate)
+        top = max(FIGURE3_RATIOS.values())
+        if mc_sample_rate and opo and eff_mode == "figure3":
+            _check(errors, f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
+                   mc_sample_rate)
     correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
     correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
-    # T = averaging_periods * pi / omega, so the rule counts half beat periods
-    half = 2 * MIN_BEAT_PERIODS if eff_mode == "correlation" else None
-    correlation_periods = f("correlation", "averaging_periods",
-                            half and (lambda v: v >= half, f"at least {half}"))
-    if eff_mode == "correlation" and het is not None and het.Omega > 0 and correlation_periods:
-        # the lag span and the beat phase omega (2t + iota), t <= T, stay finite
-        reach = 2.0 * (correlation_periods * math.pi / het.Omega + (correlation_iota_max or 0))
-        if not (math.isfinite(reach) and math.isfinite(het.Omega * reach)):
-            errors.append(f"[correlation] averaging window plus iota_max ({reach / 2}) "
-                          f"overflows the beat phase at omega = {het.Omega}")
+    correlation_periods = f("correlation", "averaging_periods")
+    if eff_mode == "correlation" and het and correlation_periods is not None:
+        try:
+            check_averaging(het.Omega, correlation_periods, correlation_iota_max or 0.0)
+        except ValueError as exc:
+            errors.append(f"[heterodyne] {exc}")
+        except InsufficientAveraging as exc:
+            errors.append(f"[correlation] {exc}")
 
     phibar0 = f("lock", "phibar0")
     dist_amp = f("lock", "disturbance_amplitude")
@@ -180,8 +172,7 @@ def load_config(path: str | None = None, *, mode: str | None = None,
                           demod_phase=f("lock", "demod_phase"),
                           lowpass_cutoff=_get(
                               parser, "lock", "lowpass_cutoff",
-                              lambda raw: float(raw) if raw.strip() else None,
-                              errors, _POSITIVE),
+                              lambda raw: float(raw) if raw.strip() else None, errors),
                           kp=f("lock", "kp"), ki=f("lock", "ki"),
                           dt=f("lock", "dt"), duration=f("lock", "duration"),
                           disturbance=disturbance,
@@ -190,11 +181,7 @@ def load_config(path: str | None = None, *, mode: str | None = None,
                                     phi1=phibar0, phi2=phibar0,
                                     amplitude=f("lock", "amplitude"))
         validate_lock(lock_het, lock)
-        nu = lock_het.Omega - lock.Omega_prime
-        if not lock.cutoff(lock_het) < nu:
-            raise ValueError(f"lowpass_cutoff: must lie below the demodulation "
-                             f"frequency {nu}, got {lock.cutoff(lock_het)}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DemodClash) as exc:
         errors.append(f"[lock] {exc}")
         lock = lock_het = None
     mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
@@ -343,8 +330,7 @@ def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
     Monte-Carlo points overlay the curves when overlay_seeds > 0.
     """
     gamma = cfg.opo.gamma
-    meta = {"config_hash": cfg.hash}
-    paths, curves, estimators = [], [], []
+    curves, estimators = [], []
     for label, ratio in FIGURE3_RATIOS.items():
         Om = ratio * gamma
         grid = frequency_grid(3.0 * gamma + Om, cfg.grid_points, include=(Om,))
@@ -358,19 +344,20 @@ def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
                    homodyne_spectrum(opo_spectra(cfg.opo), 0.0, cfg.opo.eta, grid)))
     estimators.append(lambda seed: monte_carlo_homodyne(
         cfg.opo, 0.0, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, seed))
-    for label, (_, sd) in zip("abcd", curves):
-        paths.append(_out(cfg, f"figure3_{label}.csv"))
-        write_spectral_csv(paths[-1], sd, meta)
 
-    # Seed-major: all four panels read the same phibar = 0 quadrature
-    # series, so the synthesis memo turns three of every four into hits.
+    # The overlay runs before any file is written, so its failure leaves no
+    # partial output.  Seed-major: all four panels read the same phibar = 0
+    # quadrature series, so the synthesis memo turns three of every four into hits.
     omega, chi_sums = None, [0.0] * len(estimators)
     for k in range(cfg.overlay_seeds):
         for j, estimate in enumerate(estimators):
             mc = estimate(cfg.seed + k)
             omega, chi_sums[j] = mc.omega_grid, chi_sums[j] + mc.chi_normalized
-    panels = []
-    for (title, sd), chi_sum in zip(curves, chi_sums):
+    meta = {"config_hash": cfg.hash}
+    paths, panels = [], []
+    for label, (title, sd), chi_sum in zip("abcd", curves, chi_sums):
+        paths.append(_out(cfg, f"figure3_{label}.csv"))
+        write_spectral_csv(paths[-1], sd, meta)
         points = [] if omega is None else _overlay_points(
             omega, chi_sum / cfg.overlay_seeds, sd.omega_grid[-1])
         panels.append(_spectrum_panel(

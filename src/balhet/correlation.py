@@ -208,6 +208,23 @@ def lambda_prime_quadrature_form(state: GaussianFieldState,
     return cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * combo
 
 
+def check_averaging(Omega: float, averaging_periods: float, iota_max: float = 0.0) -> None:
+    """Refuse averaging lambda(t, iota) over T = averaging_periods * pi / Omega.
+
+    Omega must be positive, T must span ``MIN_BEAT_PERIODS`` beat periods,
+    and Omega (2t + iota) must stay finite for t <= T, |iota| <= iota_max.
+    """
+    if not Omega > 0:
+        raise ValueError(f"omega must be positive for time averaging, got {Omega}")
+    if not averaging_periods >= 2 * MIN_BEAT_PERIODS:
+        raise InsufficientAveraging(f"averaging_periods = T Omega / pi must be at least "
+                                    f"{2 * MIN_BEAT_PERIODS}, got {averaging_periods}")
+    reach = 2.0 * (float(averaging_periods) * np.pi / float(Omega) + abs(float(iota_max)))
+    if not float(Omega) * reach < np.inf:  # Python floats overflow to inf without a warning
+        raise InsufficientAveraging(f"averaging window plus iota_max ({reach / 2}) "
+                                    f"overflows the beat phase at omega = {Omega}")
+
+
 def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
                         iota: float, T: float) -> float:
     """Average lambda(t, iota) over t in [0, T]; ``lambda_prime`` is its limit.
@@ -215,15 +232,11 @@ def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
     Uses a uniform composite trapezoid with at least ``_STEPS_PER_PERIOD``
     samples per beat period, which resolves the oscillating terms and
     integrates them to zero exactly when T is a whole number of
-    half-periods.  Requires T >= ``MIN_BEAT_PERIODS`` beat periods.
+    half-periods.  ``check_averaging`` refuses the window first.
     """
-    if cfg.Omega <= 0:
-        raise ValueError("time averaging needs a positive heterodyne offset")
+    # a few ulps of slack (2**-50 = 4 eps): T = 20 pi / Omega is exactly ten beat periods
+    check_averaging(cfg.Omega, float(T) * cfg.Omega / np.pi * (1.0 + 2.0 ** -50), iota)
     period = 2.0 * np.pi / cfg.Omega
-    # a few ulps of slack: T = 20 pi / Omega is exactly ten beat periods
-    if T < MIN_BEAT_PERIODS * period * (1.0 - 4.0 * np.finfo(float).eps):
-        raise InsufficientAveraging(f"averaging window T = {T} shorter than {MIN_BEAT_PERIODS}"
-                                    f" beat periods ({MIN_BEAT_PERIODS * period})")
     n = int(np.ceil(T / (period / _STEPS_PER_PERIOD)))
     t = np.linspace(0.0, T, n + 1)
     values = intensity_correlation(state, cfg, t, iota)

@@ -77,6 +77,8 @@ class LockConfig:
         if not self.duration >= self.dt:
             raise ValueError(f"duration must be at least dt = {self.dt}, "
                              f"got {self.duration}")
+        if self.lowpass_cutoff is not None and not 0 < self.lowpass_cutoff < math.inf:
+            raise ValueError(f"lowpass_cutoff must lie in (0, inf), got {self.lowpass_cutoff}")
 
     def cutoff(self, cfg: HeterodyneConfig) -> float:
         if self.lowpass_cutoff is not None:
@@ -145,6 +147,10 @@ def validate_lock(cfg: HeterodyneConfig, lock: LockConfig) -> None:
             f"modulation depth {lock.theta} leaves {power_defect:.3f} of the "
             "sideband power outside the two-sideband picture"
         )
+    nu = cfg.Omega - lock.Omega_prime
+    if not lock.cutoff(cfg) < nu:
+        raise DemodClash(f"lowpass_cutoff: must lie below the demodulation "
+                         f"frequency {nu}, got {lock.cutoff(cfg)}")
 
 
 def _folded_sin(freq_cycles, t, phase=0.0):
@@ -225,10 +231,6 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
     validate_lock(cfg, lock)
     nu = cfg.Omega - lock.Omega_prime
     cutoff = lock.cutoff(cfg)
-    if nu <= cutoff:
-        raise DemodClash(
-            f"demodulation frequency {nu} inside the low-pass band ({cutoff})"
-        )
 
     # The feedback-independent pieces are vectorized one block at a time,
     # so the loop holds only its three returned arrays plus one block.  The

@@ -74,6 +74,9 @@ class WelchConfig:
 
     def total_samples(self, n_segments: int) -> int:
         """Series length that yields exactly ``n_segments`` segments."""
+        if not n_segments >= self.n_segments_min:
+            raise InsufficientData(f"segments: must be at least n_segments_min = "
+                                   f"{self.n_segments_min}, got {n_segments}")
         return self.segment_length + self.step * (n_segments - 1)
 
 
@@ -91,6 +94,13 @@ def _fast_length(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def check_alias(Omega: float, fs: float) -> None:
+    """Refuse a beat offset at or above ALIAS_FRACTION of the angular sampling rate."""
+    limit = ALIAS_FRACTION * 2.0 * np.pi * fs
+    if not Omega < limit:
+        raise AliasRisk(f"beat offset {Omega} must lie below the alias limit {limit}")
 
 
 # The last seeded synthesis, replaced whole as (key, PSD samples, samples),
@@ -170,11 +180,7 @@ def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> T
     if not (np.isfinite(Omega) and np.isfinite(dphi)):
         raise ValueError(f"Omega and dphi must be finite, got {Omega} and {dphi}")
     fs = x.sample_rate
-    if Omega >= ALIAS_FRACTION * 2.0 * np.pi * fs:
-        raise AliasRisk(
-            f"Omega = {Omega} too close to the sampling band "
-            f"(limit {ALIAS_FRACTION * 2.0 * np.pi * fs})"
-        )
+    check_alias(Omega, fs)
     n = len(x.samples)
     b = min(_BEAT_BLOCK, n)
     arg = Omega * (np.arange(b) / fs)
@@ -262,6 +268,7 @@ def monte_carlo_heterodyne(params: OpoParams, cfg: HeterodyneConfig, fs: float,
     averaged periodogram.  Output bins are directly comparable with the
     analytic heterodyne spectrum evaluated on the same grid.
     """
+    check_alias(cfg.Omega, fs)
     s = quadrature_noise_spectrum(opo_spectra(params), cfg.phibar, params.eta)
     n = welch.total_samples(n_segments)
     x = synthesize_quadrature(s, n, fs, seed)

@@ -322,6 +322,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_failed_overlay_writes_nothing(self, tmp_path, capsys):
+        # the overlay once ran after the four panel CSVs were written
+        conf = tmp_path / "exp.ini"
+        conf.write_text("[montecarlo]\noverlay_seeds = 1\nsegments = 10000000000000\n")
+        assert run_cli("figure3", "--config", str(conf), "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("ini, where", [
+        ("[lock]\nlowpass_cutoff = -50\n", "[lock] lowpass_cutoff"),
+        ("[lock]\nlowpass_cutoff = 0\n", "[lock] lowpass_cutoff"),
+    ], ids=["negative", "zero"])
+    def test_library_cutoff_rule_exits_two(self, tmp_path, capsys, ini, where):
+        # the load-time refusal is LockConfig's own
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        assert run_cli("lock", "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_io_error_is_four(self, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")
@@ -467,8 +487,8 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 @example(mode="correlation", svg=False, seed=0,
          values={**_SMALL, ("opo", "epsilon"): 0.3, ("heterodyne", "omega"): 5e-324})
 def test_every_mode_runs_or_refuses(tmp_path, mode, svg, seed, values):
-    # run, not only load: finite artifacts, a config refusal that writes
-    # nothing, or a numerical refusal
+    # run, not only load: finite artifacts, or a config or numerical
+    # refusal that writes nothing
     sections = {}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {value}")
@@ -481,7 +501,7 @@ def test_every_mode_runs_or_refuses(tmp_path, mode, svg, seed, values):
         argv = [mode, "--config", conf, "--seed", str(seed), "--out", out]
         code = run_cli(*argv, *(["--svg"] if svg else []))
         assert code in (0, 2, 3)
-        if code == 2:
+        if code in (2, 3):
             assert not os.path.exists(out)
         if code == 0:
             for name in os.listdir(out):

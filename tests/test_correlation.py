@@ -245,6 +245,17 @@ class TestTimeAverage:
         with pytest.raises(InsufficientAveraging):
             bh.time_average_reduce(state, cfg, 0.1, T=5 * np.pi)
 
+    @pytest.mark.parametrize("Omega, T", [(1.0, 1e308), (5e-324, 40 * np.pi / 5e-324),
+                                          (10.0, np.float64(1e308))],
+                             ids=["long_window", "subnormal_offset", "numpy_scalar"])
+    def test_overflowing_beat_phase_rejected(self, Omega, T):
+        # these once escaped as a bare OverflowError, an int() ValueError or,
+        # for a numpy scalar, an overflow RuntimeWarning
+        state = random_state(np.random.default_rng(41))
+        cfg = bh.HeterodyneConfig(Omega=Omega, amplitude=1.0)
+        with pytest.raises(InsufficientAveraging, match="overflows the beat phase"):
+            bh.time_average_reduce(state, cfg, 0.1, T)
+
     def test_exactly_ten_periods_accepted(self):
         # 20 pi / Omega rounds one ulp below 10 * (2 pi / Omega) at Omega = 0.05
         state = random_state(np.random.default_rng(40))

@@ -175,6 +175,18 @@ class TestErrorSignal:
         with pytest.raises(DemodClash):
             bh.error_signal(STATE, het_config(), lock)
 
+    @pytest.mark.parametrize("cutoff", [-50.0, 0.0, math.nan, math.inf])
+    def test_cutoff_outside_open_half_line_refused(self, cutoff):
+        # a negative cutoff once gave a finite error signal, a zero one a
+        # bare ZeroDivisionError, and nan an unrelated int() ValueError
+        with pytest.raises(ValueError, match="lowpass_cutoff"):
+            lock_config(lowpass_cutoff=cutoff)
+
+    def test_clash_is_part_of_the_lock_check(self):
+        lock = lock_config(lowpass_cutoff=TWO_PI * (F_HET - F_MOD))
+        with pytest.raises(DemodClash, match="lowpass_cutoff: must lie below"):
+            validate_lock(het_config(), lock)
+
     def test_validation(self):
         with pytest.raises(ValueError):  # modulation above the beat
             bh.error_signal(STATE, het_config(),

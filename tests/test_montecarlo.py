@@ -395,6 +395,28 @@ class TestModulation:
             bh.synthesize_photocurrent(x, 0.45 * 2 * np.pi * 1.0, 0.0)
 
 
+class TestRefusedBeforeSynthesis:
+    """The pipelines run their checks before the first inverse transform."""
+
+    PARAMS = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.9)
+    FS = 4.0
+
+    def test_too_few_segments(self, irfft_calls):
+        welch = tiny_welch(nmin=8)
+        with pytest.raises(InsufficientData, match="n_segments_min"):
+            bh.monte_carlo_heterodyne(self.PARAMS, bh.HeterodyneConfig(Omega=1.0),
+                                      self.FS, 7, welch, seed=1)
+        with pytest.raises(InsufficientData, match="n_segments_min"):
+            bh.monte_carlo_homodyne(self.PARAMS, 0.0, self.FS, 7, welch, seed=1)
+        assert irfft_calls == []
+
+    def test_offset_above_alias_limit(self, irfft_calls):
+        cfg = bh.HeterodyneConfig(Omega=montecarlo.ALIAS_FRACTION * 2 * np.pi * self.FS)
+        with pytest.raises(AliasRisk):
+            bh.monte_carlo_heterodyne(self.PARAMS, cfg, self.FS, 8, tiny_welch(), seed=1)
+        assert irfft_calls == []
+
+
 class TestMonteCarloPipelines:
     PARAMS = bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0)
 
