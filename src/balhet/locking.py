@@ -226,9 +226,9 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
     the reference ``-2 sin((Omega - Omega')t + demod_phase)``, low-pass,
     and apply the PI law; the actuator shifts both oscillator phases
     equally, moving phibar while leaving dphi untouched.  Zero gains give
-    the open-loop error signal.  Returns ``(t, phibar, error)``.
+    the open-loop error signal.  Returns ``(t, phibar, error)``.  Callers
+    check the settings with ``validate_lock`` first.
     """
-    validate_lock(cfg, lock)
     nu = cfg.Omega - lock.Omega_prime
     cutoff = lock.cutoff(cfg)
 
@@ -273,7 +273,9 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
             error_b.append(filt)
         phibar[j:j + k] = phibar_b
         error[j:j + k] = error_b
-    return np.arange(n) * dt, phibar, error
+    t = np.arange(n, dtype=float)
+    t *= dt
+    return t, phibar, error
 
 
 def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
@@ -314,6 +316,7 @@ def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
     not settled onto a stable extremum of the quadrature mean within the
     configured duration.
     """
+    validate_lock(cfg, lock)
     n = int(round(lock.duration / lock.dt))
     t, phibar, error = _demodulate(state, cfg, lock, eta, n)
 
@@ -325,19 +328,20 @@ def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
                                       math.nan, float(np.std(phibar))),
         )
 
-    # Stable lock points are the maxima of <X(phibar)>.
+    # Stable lock points are the maxima of <X(phibar)>.  The verdict is
+    # read one block at a time: the last step outside the tolerance (NaN
+    # counts as outside) must precede the trailing tenth of the run.
     target = cmath.phase(m)
-    offset = _wrap_angle(phibar - target)
-    within = np.abs(offset) < lock.lock_tolerance
+    last_out = -1
+    for j in range(0, n, _LOCK_BLOCK):
+        offset = _wrap_angle(phibar[j:j + _LOCK_BLOCK] - target)
+        out = np.flatnonzero(~(np.abs(offset) < lock.lock_tolerance))
+        if out.size:
+            last_out = j + int(out[-1])
     tail = max(1, n // 10)
-    locked = bool(np.all(within[-tail:]))
-    residual_rms = float(np.sqrt(np.mean(offset[-tail:] ** 2)))
-    if locked:
-        ever_out = np.nonzero(~within)[0]
-        first = 0 if len(ever_out) == 0 else int(ever_out[-1]) + 1
-        lock_time = float(t[first]) if first < n else float(t[-1])
-    else:
-        lock_time = math.nan
+    locked = last_out < n - tail
+    residual_rms = float(np.sqrt(np.mean(_wrap_angle(phibar[-tail:] - target) ** 2)))
+    lock_time = float(t[last_out + 1]) if locked else math.nan
     trajectory = LockTrajectory(t, phibar, error, locked, lock_time,
                                 target, residual_rms)
     if not locked:

@@ -301,4 +301,55 @@ class TestBlockedLoop:
             tracemalloc.stop()
         assert len(traj.time) == 2 ** 17
         returned = traj.time.nbytes + traj.phibar.nbytes + traj.error_signal.nbytes
-        assert peak <= 3 * returned
+        assert peak <= returned + 2 ** 20
+
+    @staticmethod
+    def _full_array_verdict(traj, tol):
+        """The lock verdict read from full-length arrays in one pass."""
+        n = len(traj.time)
+        offset = (traj.phibar - traj.lock_point + np.pi) % TWO_PI - np.pi
+        within = np.abs(offset) < tol
+        tail = max(1, n // 10)
+        locked = bool(np.all(within[-tail:]))
+        residual_rms = float(np.sqrt(np.mean(offset[-tail:] ** 2)))
+        lock_time = math.nan
+        if locked:
+            ever_out = np.nonzero(~within)[0]
+            first = 0 if len(ever_out) == 0 else int(ever_out[-1]) + 1
+            lock_time = float(traj.time[first])
+        return locked, lock_time, residual_rms
+
+    def test_verdict_matches_full_array_reading(self):
+        # a kick at 0.15 s leaves the last out-of-tolerance step in the
+        # second block; the run ends in a partial third one
+        n = 2 * _LOCK_BLOCK + 17
+        kick = lambda t: 0.05 * np.exp(-((np.asarray(t) - 0.15) / 0.005) ** 2)
+        lock = lock_config(duration=n * 2.0 ** -15, lock_tolerance=3e-3,
+                           disturbance=kick)
+        traj = bh.closed_loop_simulate(STATE, het_config(), lock)
+        assert len(traj.time) == n
+        assert _LOCK_BLOCK < traj.lock_time / lock.dt < 2 * _LOCK_BLOCK
+        got = (traj.locked, traj.lock_time, traj.residual_rms)
+        assert got == self._full_array_verdict(traj, lock.lock_tolerance)
+
+    def test_failed_verdict_matches_full_array_reading(self):
+        lock = lock_config(duration=0.3)
+        with pytest.raises(LockFailure) as info:
+            bh.closed_loop_simulate(STATE, het_config(), lock)
+        traj = info.value.trajectory
+        locked, lock_time, residual_rms = self._full_array_verdict(
+            traj, lock.lock_tolerance)
+        assert traj.locked is locked is False
+        assert np.isnan(traj.lock_time) and np.isnan(lock_time)
+        assert traj.residual_rms == residual_rms == pytest.approx(5.254e-4, rel=1e-3)
+
+    def test_nan_phase_counts_as_outside(self):
+        # the loop settles by 0.2 s, then a NaN disturbance fills the tail
+        gap = lambda t: np.where(np.asarray(t) < 0.2, 0.0, np.nan)
+        lock = lock_config(disturbance=gap)
+        with pytest.raises(LockFailure) as info:
+            bh.closed_loop_simulate(STATE, het_config(), lock)
+        traj = info.value.trajectory
+        assert not traj.locked and np.isnan(traj.lock_time)
+        assert np.isnan(traj.residual_rms)
+        assert not self._full_array_verdict(traj, lock.lock_tolerance)[0]
