@@ -1,21 +1,9 @@
 """Intensity-fluctuation correlations of the balanced-heterodyne photocurrent.
 
-Two independent evaluation routes are provided for the correlation
-``lambda(t, iota)`` of the intensity fluctuations:
-
-* ``intensity_correlation`` keeps only the terms quadratic in the
-  oscillator amplitude (the strong-oscillator result actually used by the
-  spectral engine);
-* ``wick_oracle`` expands the time-and-normal-ordered fourth moment of
-  the total field term by term, factorizing every Gaussian moment into
-  means and pair kernels, and retains all orders in the oscillator
-  amplitude.
-
-The gap between the two routes is the dropped remainder, linear in the
-oscillator amplitude, and shrinks as 1/amplitude relative to the kept
-terms.  Ordering is handled operationally: mixed pair correlators are
-always evaluated with the conjugate (emission) operator on the left,
-which is the arrangement the photodetection moments come in.
+The correlation ``lambda(t, iota)`` of the intensity fluctuations keeps
+only the terms quadratic in the oscillator amplitude (the strong-oscillator
+result the spectral engine uses).  Every function here evaluates it
+through the one real kernel of the measured quadrature.
 """
 
 from __future__ import annotations
@@ -30,13 +18,6 @@ _STEPS_PER_PERIOD = 50
 
 # time_average_reduce needs a window of at least this many beat periods.
 MIN_BEAT_PERIODS = 10
-
-
-def _lo_superposition(cfg: HeterodyneConfig, t):
-    """Rotating-frame local-oscillator sum E (e^{-iWt+i phi1} + e^{+iWt+i phi2})."""
-    t = np.asarray(t, dtype=float)
-    return cfg.amplitude * (np.exp(-1j * cfg.Omega * t + 1j * cfg.phi1)
-                            + np.exp(1j * cfg.Omega * t + 1j * cfg.phi2))
 
 
 def _quadrature_kernel(state: GaussianFieldState, cfg: HeterodyneConfig, iota):
@@ -63,119 +44,6 @@ def intensity_correlation(state: GaussianFieldState, cfg: HeterodyneConfig,
     W = cfg.Omega
     beat = np.cos(W * iota) + np.cos(W * (2.0 * t + iota) + 2.0 * cfg.dphi)
     return 2.0 * cfg.amplitude ** 2 * _quadrature_kernel(state, cfg, iota) * beat
-
-
-def _moments(state: GaussianFieldState, iota):
-    """Pair kernels and means used by the ordered-moment expansions."""
-    mp = complex(state.mean_amplitude)
-    mm = np.conj(mp)
-    g11_0 = complex(state.gamma11(0.0))
-    g11_p = state.gamma11(iota)          # <d-(t) d+(t+i)>
-    g11_m = state.gamma11(-np.asarray(iota, dtype=float))
-    g20_p = state.gamma20(iota)          # <d-(t) d-(t+i)>
-    g20_c = np.conj(g20_p)               # <d+(t+i) d+(t)>
-    return mp, mm, g11_0, g11_p, g11_m, g20_p, g20_c
-
-
-def _joint_moment_terms(state, cfg, t, iota):
-    """The sixteen terms of the ordered second intensity moment.
-
-    Term order follows the expansion of <T:: I(t) I(t+iota) ::> by powers
-    of the oscillator field: the oscillator quartic, four cubic terms
-    against single field means, then quadratic, linear and field-only
-    terms, each Gaussian moment split into means plus pair kernels.
-    """
-    t = np.asarray(t, dtype=float)
-    t2 = t + np.asarray(iota, dtype=float)
-    c1, c2 = _lo_superposition(cfg, t), _lo_superposition(cfg, t2)
-    cb1, cb2 = np.conj(c1), np.conj(c2)
-    mp, mm, g11_0, g11_p, g11_m, g20_p, g20_c = _moments(state, iota)
-    n0 = mm * mp + g11_0  # <E-(s) E+(s)>, any time
-
-    return [
-        cb1 * c1 * cb2 * c2,
-        c1 * cb2 * c2 * mm,
-        cb1 * cb2 * c2 * mp,
-        cb1 * c1 * c2 * mm,
-        cb1 * c1 * cb2 * mp,
-        cb2 * c2 * n0,
-        cb1 * c1 * n0,
-        c1 * cb2 * (mm * mp + g11_p),
-        cb1 * c2 * (mm * mp + g11_m),
-        c1 * c2 * (mm * mm + g20_p),
-        cb1 * cb2 * (mp * mp + g20_c),
-        cb1 * (mm * mp * mp + mm * g20_c + mp * (g11_0 + g11_m)),
-        c1 * (mm * mm * mp + mp * g20_p + mm * (g11_p + g11_0)),
-        cb2 * (mm * mp * mp + mm * g20_c + mp * (g11_p + g11_0)),
-        c2 * (mm * mm * mp + mp * g20_p + mm * (g11_0 + g11_m)),
-        (mm * mm * mp * mp + mm * mm * g20_c + mp * mp * g20_p
-         + mm * mp * (g11_p + g11_m + 2.0 * g11_0)
-         + g20_p * g20_c + g11_p * g11_m + g11_0 * g11_0),
-    ]
-
-
-def _product_moment_terms(state, cfg, t, iota):
-    """The sixteen terms of the product of mean intensities <I(t)><I(t+iota)>.
-
-    Same ordering as ``_joint_moment_terms``; the first seven terms are
-    identical between the two expansions and cancel in the difference.
-    """
-    t = np.asarray(t, dtype=float)
-    t2 = t + np.asarray(iota, dtype=float)
-    c1, c2 = _lo_superposition(cfg, t), _lo_superposition(cfg, t2)
-    cb1, cb2 = np.conj(c1), np.conj(c2)
-    mp, mm, g11_0, _, _, _, _ = _moments(state, iota)
-    n0 = mm * mp + g11_0
-
-    return [
-        cb1 * c1 * cb2 * c2,
-        c1 * cb2 * c2 * mm,
-        cb1 * cb2 * c2 * mp,
-        cb1 * c1 * c2 * mm,
-        cb1 * c1 * cb2 * mp,
-        cb2 * c2 * n0,
-        cb1 * c1 * n0,
-        c1 * cb2 * mm * mp,
-        cb1 * c2 * mm * mp,
-        c1 * c2 * mm * mm,
-        cb1 * cb2 * mp * mp,
-        cb1 * mp * n0,
-        c1 * mm * n0,
-        cb2 * mp * n0,
-        c2 * mm * n0,
-        n0 * n0,
-    ]
-
-
-def wick_oracle(state: GaussianFieldState, cfg: HeterodyneConfig, t, iota):
-    """All-orders intensity-fluctuation correlation by moment factorization.
-
-    Subtracts the term-by-term expansion of the product of mean
-    intensities from that of the ordered second moment; no truncation in
-    the oscillator amplitude is performed.  Imaginary residue (conjugate
-    pairs cancel algebraically) is discarded after the subtraction.
-    """
-    joint = _joint_moment_terms(state, cfg, t, iota)
-    product = _product_moment_terms(state, cfg, t, iota)
-    total = sum(joint[7:]) - sum(product[7:])
-    # The leading seven terms are algebraically identical; subtracting
-    # them pairwise avoids losing the small difference to cancellation.
-    for a, b in zip(joint[:7], product[:7]):
-        total = total + (a - b)
-    return np.real(total)
-
-
-def strong_oscillator_background(state: GaussianFieldState, cfg: HeterodyneConfig,
-                                 t, iota):
-    """Sum of the seven leading terms of each intensity-moment expansion.
-
-    These are the oscillator-dominated background terms that must cancel
-    between the ordered moment and the mean-intensity product; returns the
-    pair (joint, product) for direct comparison.
-    """
-    joint = _joint_moment_terms(state, cfg, t, iota)
-    product = _product_moment_terms(state, cfg, t, iota)
-    return sum(joint[:7]), sum(product[:7])
 
 
 def lambda_prime(state: GaussianFieldState, cfg: HeterodyneConfig, tau):

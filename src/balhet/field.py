@@ -83,8 +83,10 @@ class HeterodyneConfig:
     def __post_init__(self):
         if not 0.0 <= self.Omega < np.inf:
             raise ValueError(f"Omega must lie in [0, inf), got {self.Omega}")
-        if not 0.0 < self.amplitude < np.inf:
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
+        # float products, so an oversized amplitude gives inf here, not OverflowError
+        if not (0.0 < self.amplitude and 4.0 * self.amplitude * self.amplitude < np.inf):
+            raise ValueError(f"amplitude must be positive with a finite oscillator power "
+                             f"4 * amplitude**2, got {self.amplitude}")
         if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
             raise ValueError(f"phi1 and phi2 must be finite, got {self.phi1} and {self.phi2}")
 
@@ -274,21 +276,3 @@ def gammas_to_quadrature_correlations(state: GaussianFieldState) -> QuadratureKe
         return -2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
 
     return QuadratureKernels(k11=k11, k22=k22, k12=k12, k21=k21)
-
-
-def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFieldState:
-    """Forward map from quadrature kernels back to the complex field kernels.
-
-    Composing with ``gammas_to_quadrature_correlations`` is the identity
-    (up to rounding) in either direction.  The returned state carries zero
-    mean amplitude.
-    """
-    def g11(tau):
-        return ((kernels.k11(tau) + kernels.k22(tau)) / 4.0
-                + 1j * (kernels.k12(tau) - kernels.k21(tau)) / 4.0)
-
-    def g20(tau):
-        return ((kernels.k11(tau) - kernels.k22(tau)) / 4.0
-                - 1j * (kernels.k12(tau) + kernels.k21(tau)) / 4.0)
-
-    return GaussianFieldState(0j, g11, g20)

@@ -261,6 +261,9 @@ class TestExitCodes:
          "[correlation] averaging window plus iota_max"),
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\niota_max = 1e308\n",
          "[correlation] averaging window plus iota_max"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[heterodyne]\namplitude = 1e200\n",
+         "[heterodyne] amplitude"),
+        ("lock", "[lock]\namplitude = 1e200\n", "[lock] amplitude"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "beta_removed", "sample_rate", "correlation_omega_zero",
@@ -270,7 +273,8 @@ class TestExitCodes:
             "averaging_periods_19_9", "theta_overflow", "theta_overflow_lock",
             "overlay_seeds_negative", "theta_inaccurate_series",
             "lock_duration_below_dt", "iota_max_negative", "iota_max_zero",
-            "iota_max_spectrum", "correlation_window_overflow", "iota_max_overflow"])
+            "iota_max_spectrum", "correlation_window_overflow", "iota_max_overflow",
+            "amplitude_power_overflow", "lock_amplitude_power_overflow"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
@@ -321,6 +325,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode, ini, column", [
+        ("correlation", "[opo]\ngamma = 1e300\nepsilon = 0.3e300\n", "lambda_prime"),
+        ("montecarlo", "[montecarlo]\nsample_rate = 1e308\nsegments = 16\n"
+                       "segment_length = 64\nn_segments_min = 8\n", "omega"),
+    ], ids=["correlation_gamma", "montecarlo_sample_rate"])
+    def test_non_finite_column_is_three(self, tmp_path, capsys, mode, ini, column):
+        # both runs once exited 0 with NaN or inf in their CSVs
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        with np.errstate(all="ignore"):
+            code = run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o"))
+        assert code == 3
+        # one line and no traceback
+        assert capsys.readouterr().err == f"error: column {column} is not finite\n"
+        assert not (tmp_path / "o").exists()
 
     def test_failed_overlay_writes_nothing(self, tmp_path, capsys):
         # the overlay once ran after the four panel CSVs were written

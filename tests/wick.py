@@ -1,0 +1,157 @@
+"""Reference routes kept as test oracles, outside the library.
+
+``wick_oracle`` expands the time-and-normal-ordered fourth moment of the
+total field term by term, factorizing every Gaussian moment into means
+and pair kernels, and retains all orders in the oscillator amplitude.
+The library's ``intensity_correlation`` keeps only the terms quadratic in
+the amplitude; the gap between the two is the dropped remainder, linear
+in the amplitude, and shrinks as 1/amplitude relative to the kept terms.
+Ordering is handled operationally: mixed pair correlators are always
+evaluated with the conjugate (emission) operator on the left, which is
+the arrangement the photodetection moments come in.
+
+``quadrature_correlations_to_gammas`` is the inverse of the library's
+``gammas_to_quadrature_correlations``, for round-trip tests.
+"""
+
+import numpy as np
+
+from balhet.field import GaussianFieldState, HeterodyneConfig, QuadratureKernels
+
+
+def _lo_superposition(cfg: HeterodyneConfig, t):
+    """Rotating-frame local-oscillator sum E (e^{-iWt+i phi1} + e^{+iWt+i phi2})."""
+    t = np.asarray(t, dtype=float)
+    return cfg.amplitude * (np.exp(-1j * cfg.Omega * t + 1j * cfg.phi1)
+                            + np.exp(1j * cfg.Omega * t + 1j * cfg.phi2))
+
+
+def _moments(state: GaussianFieldState, iota):
+    """Pair kernels and means used by the ordered-moment expansions."""
+    mp = complex(state.mean_amplitude)
+    mm = np.conj(mp)
+    g11_0 = complex(state.gamma11(0.0))
+    g11_p = state.gamma11(iota)          # <d-(t) d+(t+i)>
+    g11_m = state.gamma11(-np.asarray(iota, dtype=float))
+    g20_p = state.gamma20(iota)          # <d-(t) d-(t+i)>
+    g20_c = np.conj(g20_p)               # <d+(t+i) d+(t)>
+    return mp, mm, g11_0, g11_p, g11_m, g20_p, g20_c
+
+
+def _joint_moment_terms(state, cfg, t, iota):
+    """The sixteen terms of the ordered second intensity moment.
+
+    Term order follows the expansion of <T:: I(t) I(t+iota) ::> by powers
+    of the oscillator field: the oscillator quartic, four cubic terms
+    against single field means, then quadratic, linear and field-only
+    terms, each Gaussian moment split into means plus pair kernels.
+    """
+    t = np.asarray(t, dtype=float)
+    t2 = t + np.asarray(iota, dtype=float)
+    c1, c2 = _lo_superposition(cfg, t), _lo_superposition(cfg, t2)
+    cb1, cb2 = np.conj(c1), np.conj(c2)
+    mp, mm, g11_0, g11_p, g11_m, g20_p, g20_c = _moments(state, iota)
+    n0 = mm * mp + g11_0  # <E-(s) E+(s)>, any time
+
+    return [
+        cb1 * c1 * cb2 * c2,
+        c1 * cb2 * c2 * mm,
+        cb1 * cb2 * c2 * mp,
+        cb1 * c1 * c2 * mm,
+        cb1 * c1 * cb2 * mp,
+        cb2 * c2 * n0,
+        cb1 * c1 * n0,
+        c1 * cb2 * (mm * mp + g11_p),
+        cb1 * c2 * (mm * mp + g11_m),
+        c1 * c2 * (mm * mm + g20_p),
+        cb1 * cb2 * (mp * mp + g20_c),
+        cb1 * (mm * mp * mp + mm * g20_c + mp * (g11_0 + g11_m)),
+        c1 * (mm * mm * mp + mp * g20_p + mm * (g11_p + g11_0)),
+        cb2 * (mm * mp * mp + mm * g20_c + mp * (g11_p + g11_0)),
+        c2 * (mm * mm * mp + mp * g20_p + mm * (g11_0 + g11_m)),
+        (mm * mm * mp * mp + mm * mm * g20_c + mp * mp * g20_p
+         + mm * mp * (g11_p + g11_m + 2.0 * g11_0)
+         + g20_p * g20_c + g11_p * g11_m + g11_0 * g11_0),
+    ]
+
+
+def _product_moment_terms(state, cfg, t, iota):
+    """The sixteen terms of the product of mean intensities <I(t)><I(t+iota)>.
+
+    Same ordering as ``_joint_moment_terms``; the first seven terms are
+    identical between the two expansions and cancel in the difference.
+    """
+    t = np.asarray(t, dtype=float)
+    t2 = t + np.asarray(iota, dtype=float)
+    c1, c2 = _lo_superposition(cfg, t), _lo_superposition(cfg, t2)
+    cb1, cb2 = np.conj(c1), np.conj(c2)
+    mp, mm, g11_0, _, _, _, _ = _moments(state, iota)
+    n0 = mm * mp + g11_0
+
+    return [
+        cb1 * c1 * cb2 * c2,
+        c1 * cb2 * c2 * mm,
+        cb1 * cb2 * c2 * mp,
+        cb1 * c1 * c2 * mm,
+        cb1 * c1 * cb2 * mp,
+        cb2 * c2 * n0,
+        cb1 * c1 * n0,
+        c1 * cb2 * mm * mp,
+        cb1 * c2 * mm * mp,
+        c1 * c2 * mm * mm,
+        cb1 * cb2 * mp * mp,
+        cb1 * mp * n0,
+        c1 * mm * n0,
+        cb2 * mp * n0,
+        c2 * mm * n0,
+        n0 * n0,
+    ]
+
+
+def wick_oracle(state: GaussianFieldState, cfg: HeterodyneConfig, t, iota):
+    """All-orders intensity-fluctuation correlation by moment factorization.
+
+    Subtracts the term-by-term expansion of the product of mean
+    intensities from that of the ordered second moment; no truncation in
+    the oscillator amplitude is performed.  Imaginary residue (conjugate
+    pairs cancel algebraically) is discarded after the subtraction.
+    """
+    joint = _joint_moment_terms(state, cfg, t, iota)
+    product = _product_moment_terms(state, cfg, t, iota)
+    total = sum(joint[7:]) - sum(product[7:])
+    # The leading seven terms are algebraically identical; subtracting
+    # them pairwise avoids losing the small difference to cancellation.
+    for a, b in zip(joint[:7], product[:7]):
+        total = total + (a - b)
+    return np.real(total)
+
+
+def strong_oscillator_background(state: GaussianFieldState, cfg: HeterodyneConfig,
+                                 t, iota):
+    """Sum of the seven leading terms of each intensity-moment expansion.
+
+    These are the oscillator-dominated background terms that must cancel
+    between the ordered moment and the mean-intensity product; returns the
+    pair (joint, product) for direct comparison.
+    """
+    joint = _joint_moment_terms(state, cfg, t, iota)
+    product = _product_moment_terms(state, cfg, t, iota)
+    return sum(joint[:7]), sum(product[:7])
+
+
+def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFieldState:
+    """Forward map from quadrature kernels back to the complex field kernels.
+
+    Composing with ``gammas_to_quadrature_correlations`` is the identity
+    (up to rounding) in either direction.  The returned state carries zero
+    mean amplitude.
+    """
+    def g11(tau):
+        return ((kernels.k11(tau) + kernels.k22(tau)) / 4.0
+                + 1j * (kernels.k12(tau) - kernels.k21(tau)) / 4.0)
+
+    def g20(tau):
+        return ((kernels.k11(tau) - kernels.k22(tau)) / 4.0
+                - 1j * (kernels.k12(tau) + kernels.k21(tau)) / 4.0)
+
+    return GaussianFieldState(0j, g11, g20)
