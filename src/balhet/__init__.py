@@ -13,20 +13,17 @@ from .errors import (AliasRisk, BalhetError, ConfigInvalid, DemodClash,
 from .field import (GaussianFieldState, HeterodyneConfig, OpoParams,
                     QuadratureKernels, QuadratureSpectra, coherent_state,
                     gammas_to_quadrature_correlations, opo_field_state,
-                    opo_spectra, quadrature_mean, quadrature_mean_slope,
-                    vacuum_state)
+                    opo_spectra, quadrature_mean_slope)
 from .spectral import (SpectralDensity, frequency_grid,
                        heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form, quadrature_noise_spectrum)
 from .correlation import (intensity_correlation, lambda_prime,
                           lambda_prime_quadrature_form, time_average_reduce)
-from .montecarlo import (TimeSeries, WelchConfig, edge_bin_mask,
-                         monte_carlo_heterodyne, monte_carlo_homodyne,
-                         synthesize_photocurrent, synthesize_quadrature,
-                         welch_psd)
+from .montecarlo import (TimeSeries, WelchConfig, monte_carlo_heterodyne,
+                         monte_carlo_homodyne, synthesize_photocurrent,
+                         synthesize_quadrature, welch_psd)
 from .locking import (BesselTruncation, LockConfig, LockTrajectory,
                       bessel_truncation, closed_loop_simulate,
-                      error_line_prediction, error_line_projection,
-                      error_signal, mean_photocurrent)
+                      error_line_prediction, error_signal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

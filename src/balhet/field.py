@@ -115,16 +115,6 @@ class GaussianFieldState:
     gamma11: Callable
     gamma20: Callable
 
-    @property
-    def fluctuation_flux(self) -> float:
-        """Mean photon flux carried by the fluctuations, ``Re g11(0)``."""
-        return float(np.real(self.gamma11(0.0)))
-
-
-def vacuum_state() -> GaussianFieldState:
-    """Zero-mean state with vanishing normally-ordered kernels."""
-    return coherent_state(0j)
-
 
 def coherent_state(mean_amplitude: complex) -> GaussianFieldState:
     """Coherent state: nonzero mean, vanishing normally-ordered kernels."""
@@ -160,18 +150,12 @@ class QuadratureKernels:
     k21: Callable
 
 
-def quadrature_mean(state: GaussianFieldState, phibar: float) -> float:
-    """Mean of the rotated quadrature X(phibar) = X cos(phibar) + P sin(phibar).
-
-    With X = a + a+ and P its conjugate quadrature, the mean is
-    2 Re<a> cos(phibar) + 2 Im<a> sin(phibar).
-    """
-    m = complex(state.mean_amplitude)
-    return 2.0 * (m.real * np.cos(phibar) + m.imag * np.sin(phibar))
-
-
 def quadrature_mean_slope(state: GaussianFieldState, phibar: float) -> float:
-    """Derivative of ``quadrature_mean`` with respect to phibar."""
+    """Derivative with respect to phibar of the rotated quadrature's mean.
+
+    With X = a + a+ and P its conjugate quadrature, X(phibar) = X cos(phibar)
+    + P sin(phibar) has mean 2 Re<a> cos(phibar) + 2 Im<a> sin(phibar).
+    """
     m = complex(state.mean_amplitude)
     return 2.0 * (-m.real * np.sin(phibar) + m.imag * np.cos(phibar))
 

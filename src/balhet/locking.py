@@ -12,8 +12,8 @@ The demodulation line of the untruncated photocurrent is
 
     -2 eta E J1(theta) [d<X(phibar)>/dphibar] sin((Omega-Omega')t + dphi)
 
-(verified against the numeric Fourier projection; see
-``error_line_prediction``).  The mixer reference is chosen as
+(``error_line_prediction``; the tests check it against a numeric Fourier
+projection of the full photocurrent).  The mixer reference is chosen as
 ``-2 sin((Omega-Omega')t + demod_phase)`` so the low-passed error comes
 out as ``+2 eta E J1(theta) [d<X>/dphibar] cos(demod_phase - dphi)``:
 positive gains then restore ``phibar`` toward maxima of ``<X(phibar)>``.
@@ -173,17 +173,6 @@ def _lo_superposition_modulated(cfg: HeterodyneConfig, lock: LockConfig, t):
     return cfg.amplitude * (lo1 + lo2)
 
 
-def mean_photocurrent(state: GaussianFieldState, cfg: HeterodyneConfig,
-                      lock: LockConfig, t, eta: float = 1.0):
-    """Mean photocurrent eta <I(t)> with phase-modulated oscillators.
-
-    The full trigonometric form is evaluated (no sideband truncation), so
-    the Bessel picture can be tested against it.
-    """
-    c = _lo_superposition_modulated(cfg, lock, t)
-    return eta * (np.abs(c + state.mean_amplitude) ** 2 + state.fluctuation_flux)
-
-
 def error_line_prediction(state: GaussianFieldState, cfg: HeterodyneConfig,
                           lock: LockConfig, eta: float = 1.0) -> complex:
     """Analytic Fourier coefficient of the photocurrent at +(Omega - Omega').
@@ -199,22 +188,6 @@ def error_line_prediction(state: GaussianFieldState, cfg: HeterodyneConfig,
     slope = quadrature_mean_slope(state, cfg.phibar)
     amp = -2.0 * eta * cfg.amplitude * j1 * slope
     return amp * np.exp(1j * cfg.dphi) / 2j
-
-
-def error_line_projection(state: GaussianFieldState, cfg: HeterodyneConfig,
-                          lock: LockConfig, eta: float = 1.0,
-                          duration: float = 1.0,
-                          samples: int = 2 ** 16) -> complex:
-    """Numeric Fourier coefficient of the photocurrent at +(Omega - Omega').
-
-    ``duration`` should span a whole number of periods of every beat line
-    (a multiple of the common period when the frequencies are
-    commensurate) for the projection to isolate the line exactly.
-    """
-    t = np.arange(samples) * (duration / samples)
-    j = mean_photocurrent(state, cfg, lock, t, eta)
-    nu_cycles = (cfg.Omega - lock.Omega_prime) / TWO_PI
-    return complex(np.mean(j * _folded_cis(-nu_cycles, t)))
 
 
 def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,

@@ -145,13 +145,15 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
         return TimeSeries(sample_rate=fs, samples=last[2], seed=seed)
     _last = last = None  # free the old series before allocating the new one
 
-    # all real parts are drawn before all imaginary parts; one buffer holds each in turn
+    # all real parts are drawn before all imaginary parts; one buffer holds each in turn.
+    # gain and draw share one block; as two heap chunks, heap slack decided their trim.
     rng = np.random.default_rng(seed)
-    gain = np.multiply(m, s)
+    gain, draw = np.empty((2, len(s)))
+    np.multiply(m, s, out=gain)
     gain /= 2.0
     np.sqrt(gain, out=gain)
     coef = np.empty(len(s), dtype=complex)
-    draw = rng.standard_normal(len(s))
+    rng.standard_normal(out=draw)
     dc, nyquist = draw[0], draw[-1]
     np.multiply(gain, draw, out=coef.real)
     rng.standard_normal(out=draw)
@@ -280,13 +282,3 @@ def monte_carlo_heterodyne(params: OpoParams, cfg: HeterodyneConfig, fs: float,
                      "phibar": cfg.phibar, "dphi": cfg.dphi})
     return SpectralDensity(out.omega_grid, out.chi_normalized, out.normalization,
                            snapshot, sigma=out.sigma)
-
-
-def edge_bin_mask(omega: np.ndarray, Omega: float, resolution: float) -> np.ndarray:
-    """True for bins farther than one resolution width from +/-Omega.
-
-    Bins adjacent to the beat frequency see the spectral leakage of the
-    deterministic modulation and are excluded from oracle comparisons.
-    """
-    omega = np.asarray(omega, dtype=float)
-    return (np.abs(omega - Omega) > resolution) & (np.abs(omega + Omega) > resolution)

@@ -17,6 +17,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from .errors import NonPhysicalSpectrum
 from .spectral import SpectralDensity
 
 SPECTRAL_SCHEMA = "spectral-density csv v1"
@@ -77,10 +78,16 @@ def write_table_csv(path: str, columns: dict, meta: dict | None = None) -> None:
 
 
 def _write_rows(path: str, lines: list[str], columns: dict) -> None:
-    """Append a header and one formatted row per index, then write."""
+    """Append a header and one formatted row per index, then write.
+
+    A column with a non-finite value is refused before anything is written.
+    """
     arrays = [np.asarray(a, dtype=float) for a in columns.values()]
     if any(len(a) != len(arrays[0]) for a in arrays):
         raise ValueError("all columns must have the same length")
+    for name, a in zip(columns, arrays):
+        if not np.isfinite(a).all():
+            raise NonPhysicalSpectrum(f"column {name} is not finite")
     row = ",".join([_FLOAT_FORMAT] * len(arrays))
     lines.append(",".join(columns))
     lines.extend(map(row.format, *(a.tolist() for a in arrays)))
@@ -91,28 +98,3 @@ def write_json(path: str, payload: dict) -> None:
     """Serialize a JSON summary deterministically (sorted keys)."""
     _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2,
                                    default=str) + "\n")
-
-
-def read_csv(path: str):
-    """Read back a package CSV: returns (meta dict, column dict of arrays)."""
-    meta = {}
-    rows = []
-    names = None
-    with open(path, "r") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                stripped = line[1:].strip()
-                if ":" in stripped:
-                    key, value = stripped.split(":", 1)
-                    meta[key.strip()] = value.strip()
-                else:
-                    meta.setdefault("schema", stripped)
-                continue
-            if names is None:
-                names = line.split(",")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows, dtype=float)
-    columns = {name: data[:, i] for i, name in enumerate(names or [])}
-    return meta, columns

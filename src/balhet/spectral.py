@@ -39,11 +39,6 @@ class SpectralDensity:
     config_snapshot: dict = field(default_factory=dict)
     sigma: np.ndarray | None = None
 
-    def minimum(self) -> tuple[float, float]:
-        """Return (omega, chi) at the grid minimum."""
-        i = int(np.argmin(self.chi_normalized))
-        return float(self.omega_grid[i]), float(self.chi_normalized[i])
-
 
 def frequency_grid(omega_max: float, points: int = 1001, include=()) -> np.ndarray:
     """Symmetric two-sided grid on [-omega_max, omega_max].

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
-from balhet.errors import ConfigInvalid
-from balhet.serialize import read_csv, write_table_csv
+from balhet.errors import ConfigInvalid, NonPhysicalSpectrum
+from balhet.serialize import write_table_csv
+
+
+HUGE_SOURCE = "[opo]\ngamma = 1e300\nepsilon = 0.3e300\n"
 
 
 def run_cli(*args):
@@ -23,6 +26,16 @@ def run_cli(*args):
 def read_bytes(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def read_csv(path):
+    """Read back a package CSV: returns (meta dict, column dict of arrays)."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    head = sum(line.startswith("#") for line in lines)
+    meta = dict(line[2:].split(": ", 1) for line in lines[1:head])
+    data = np.loadtxt(lines[head + 1:], delimiter=",", ndmin=2)
+    return meta, dict(zip(lines[head].split(","), data.T))
 
 
 class TestConfigLoading:
@@ -88,12 +101,15 @@ class TestArtifacts:
 
     def test_rows_format_each_value(self, tmp_path):
         # the row template must render every float exactly as formatting
-        # the numpy scalar on its own does, special values included
-        a = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e308])
+        # the numpy scalar on its own does, signed zeros and extremes included
+        a = np.array([0.0, -0.0, 5e-324, -2.2e-308, 1e308])
         b = np.linspace(-3.0, 3.0, len(a)) ** 7
         write_table_csv(str(tmp_path / "t.csv"), {"a": a, "b": b})
         rows = (tmp_path / "t.csv").read_text().splitlines()[3:]
         assert rows == [f"{x:.12e},{y:.12e}" for x, y in zip(a, b)]
+        with pytest.raises(NonPhysicalSpectrum, match="column c is not finite"):
+            write_table_csv(str(tmp_path / "sub" / "u.csv"), {"b": b, "c": b * np.nan})
+        assert not (tmp_path / "sub").exists()
 
     def test_montecarlo_has_sigma_column(self, tmp_path):
         out = tmp_path / "out"
@@ -335,12 +351,28 @@ class TestExitCodes:
         # both runs once exited 0 with NaN or inf in their CSVs
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
-        with np.errstate(all="ignore"):
-            code = run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o"))
+        code = run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o"))
         assert code == 3
         # one line and no traceback
         assert capsys.readouterr().err == f"error: column {column} is not finite\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, ini, code", [
+        ("spectrum", HUGE_SOURCE, 3), ("figure3", HUGE_SOURCE, 3),
+        ("correlation", HUGE_SOURCE, 3),
+        ("montecarlo", "[montecarlo]\nsample_rate = 1e308\nsegments = 16\n"
+                       "segment_length = 64\nn_segments_min = 8\n", 3),
+        ("figure3", "[opo]\ngamma = 1e300\n", 0),
+        ("spectrum", "[heterodyne]\nomega = 1e200\n", 0),
+    ], ids=["spectrum", "figure3", "correlation", "montecarlo", "figure3_gamma", "spectrum_omega"])
+    def test_extreme_magnitudes_stay_quiet(self, tmp_path, capsys, mode, ini, code):
+        # each run overflows on the way; no numpy warning may reach stderr
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code == 3) and err.startswith("error: " if code else "")
+        assert (tmp_path / "o").exists() == (code == 0)
 
     def test_failed_overlay_writes_nothing(self, tmp_path, capsys):
         # the overlay once ran after the four panel CSVs were written
@@ -408,8 +440,7 @@ def test_spectrum_fails_closed(omega, phi1, amplitude, omega_max, points):
                          f"amplitude = {amplitude}\n"
                          f"[grid]\nomega_max = {omega_max}\npoints = {points}\n")
         out = os.path.join(tmp, "out")
-        with np.errstate(all="ignore"):
-            code = run_cli("spectrum", "--config", conf, "--out", out)
+        code = run_cli("spectrum", "--config", conf, "--out", out)
         assert code in (0, 2, 3, 4)
         if code == 0:
             for name in ("spectrum_heterodyne.csv", "spectrum_homodyne.csv"):
@@ -506,9 +537,9 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 # a subnormal offset once made the averaging window infinite (traceback)
 @example(mode="correlation", svg=False, seed=0,
          values={**_SMALL, ("opo", "epsilon"): 0.3, ("heterodyne", "omega"): 5e-324})
-def test_every_mode_runs_or_refuses(tmp_path, mode, svg, seed, values):
-    # run, not only load: finite artifacts, or a config or numerical
-    # refusal that writes nothing
+def test_every_mode_runs_or_refuses(tmp_path, capsys, mode, svg, seed, values):
+    # run, not only load: finite artifacts and a quiet stderr, or a config
+    # or numerical refusal of one line that writes nothing
     sections = {}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {value}")
@@ -519,8 +550,10 @@ def test_every_mode_runs_or_refuses(tmp_path, mode, svg, seed, values):
                 handle.write(f"[{section}]\n" + "\n".join(lines) + "\n")
         out = os.path.join(tmp, "out")
         argv = [mode, "--config", conf, "--seed", str(seed), "--out", out]
+        capsys.readouterr()
         code = run_cli(*argv, *(["--svg"] if svg else []))
         assert code in (0, 2, 3)
+        assert capsys.readouterr().err.count("\n") == (0 if code == 0 else 1)
         if code in (2, 3):
             assert not os.path.exists(out)
         if code == 0:

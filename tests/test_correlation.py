@@ -6,7 +6,7 @@ import pytest
 import balhet as bh
 from balhet.errors import InsufficientAveraging
 from test_field import random_state
-from wick import strong_oscillator_background, wick_oracle
+from wick import quadrature_mean, strong_oscillator_background, wick_oracle
 
 
 def random_lo(rng, amplitude=1.0):
@@ -50,7 +50,7 @@ def eight_term_correlation(state, cfg, t, iota):
 
 class TestIntensityCorrelation:
     def test_vacuum_kernels_give_zero(self):
-        state = bh.vacuum_state()
+        state = bh.coherent_state(0)
         cfg = bh.HeterodyneConfig(Omega=1.0, amplitude=50.0)
         t = np.linspace(0, 5, 11)
         assert np.all(bh.intensity_correlation(state, cfg, t, 0.3) == 0.0)
@@ -87,7 +87,7 @@ class TestIntensityCorrelation:
 
 class TestWickOracle:
     def test_zero_state_gives_zero(self):
-        state = bh.vacuum_state()
+        state = bh.coherent_state(0)
         cfg = bh.HeterodyneConfig(Omega=1.3, amplitude=30.0)
         assert wick_oracle(state, cfg, 0.7, 0.2) == 0.0
 
@@ -206,7 +206,7 @@ class TestPhaseFrame:
                 want = f(state, cfg, *args)
                 got = f(rotated, shifted, *args)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            for f in (bh.quadrature_mean, bh.quadrature_mean_slope):
+            for f in (quadrature_mean, bh.quadrature_mean_slope):
                 want = f(state, phibar)
                 got = f(rotated, phibar - theta)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -192,6 +192,7 @@ class TestClosedForm:
         params = bh.OpoParams(gamma=1.0, epsilon=0.5)
         grid = bh.frequency_grid(8.0, 1001, include=(5.0,))
         sd = bh.opo_heterodyne_closed_form(params, 5.0, grid)
-        w, v = sd.minimum()
+        i = np.argmin(sd.chi_normalized)
+        w, v = sd.omega_grid[i], sd.chi_normalized[i]
         assert abs(abs(w) - 5.0) < 1e-12
         assert v == pytest.approx(0.49505, abs=1e-5)

@@ -12,11 +12,19 @@ the arrangement the photodetection moments come in.
 
 ``quadrature_correlations_to_gammas`` is the inverse of the library's
 ``gammas_to_quadrature_correlations``, for round-trip tests.
+
+``quadrature_mean`` is the finite-difference reference for the library's
+``quadrature_mean_slope``.  ``mean_photocurrent`` evaluates the full
+photocurrent with phase-modulated oscillators, and ``error_line_projection``
+projects it numerically onto the demodulation line: the lock oracle that
+the sideband prediction ``error_line_prediction`` is checked against.
 """
 
 import numpy as np
 
 from balhet.field import GaussianFieldState, HeterodyneConfig, QuadratureKernels
+from balhet.locking import (TWO_PI, LockConfig, _folded_cis,
+                            _lo_superposition_modulated)
 
 
 def _lo_superposition(cfg: HeterodyneConfig, t):
@@ -155,3 +163,40 @@ def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFie
                 - 1j * (kernels.k12(tau) + kernels.k21(tau)) / 4.0)
 
     return GaussianFieldState(0j, g11, g20)
+
+
+def quadrature_mean(state: GaussianFieldState, phibar: float) -> float:
+    """Mean of the rotated quadrature X(phibar) = X cos(phibar) + P sin(phibar).
+
+    With X = a + a+ and P its conjugate quadrature, the mean is
+    2 Re<a> cos(phibar) + 2 Im<a> sin(phibar).
+    """
+    m = complex(state.mean_amplitude)
+    return 2.0 * (m.real * np.cos(phibar) + m.imag * np.sin(phibar))
+
+
+def mean_photocurrent(state: GaussianFieldState, cfg: HeterodyneConfig,
+                      lock: LockConfig, t, eta: float = 1.0):
+    """Mean photocurrent eta <I(t)> with phase-modulated oscillators.
+
+    The full trigonometric form is evaluated (no sideband truncation), so
+    the Bessel picture can be tested against it.
+    """
+    c = _lo_superposition_modulated(cfg, lock, t)
+    return eta * (np.abs(c + state.mean_amplitude) ** 2 + np.real(state.gamma11(0.0)))
+
+
+def error_line_projection(state: GaussianFieldState, cfg: HeterodyneConfig,
+                          lock: LockConfig, eta: float = 1.0,
+                          duration: float = 1.0,
+                          samples: int = 2 ** 16) -> complex:
+    """Numeric Fourier coefficient of the photocurrent at +(Omega - Omega').
+
+    ``duration`` should span a whole number of periods of every beat line
+    (a multiple of the common period when the frequencies are
+    commensurate) for the projection to isolate the line exactly.
+    """
+    t = np.arange(samples) * (duration / samples)
+    j = mean_photocurrent(state, cfg, lock, t, eta)
+    nu_cycles = (cfg.Omega - lock.Omega_prime) / TWO_PI
+    return complex(np.mean(j * _folded_cis(-nu_cycles, t)))
