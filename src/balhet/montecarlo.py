@@ -108,6 +108,14 @@ def check_alias(Omega: float, fs: float) -> None:
 _last = None
 
 
+def _target_slices(psd, m: int, fs: float):
+    """Yield (slice, PSD) over the m rfft bins, at 2 pi np.fft.rfftfreq(m, 1/fs) bit for bit."""
+    df, bins = 1.0 / (m * (1.0 / fs)), m // 2 + 1
+    for j in range(0, bins, _BATCH_SAMPLES):
+        part = slice(j, min(j + _BATCH_SAMPLES, bins))
+        yield part, psd(2.0 * np.pi * (np.arange(part.start, part.stop) * df))
+
+
 def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     """Real Gaussian series with prescribed two-sided PSD.
 
@@ -128,22 +136,24 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     if not 0.0 < fs < np.inf:
         raise ValueError(f"fs must be positive and finite, got {fs}")
     m = _fast_length(n)
-    f = np.fft.rfftfreq(m, d=1.0 / fs)
-    s = np.empty(len(f))
-    for j in range(0, len(f), _BATCH_SAMPLES):
-        s[j:j + _BATCH_SAMPLES] = psd(2.0 * np.pi * f[j:j + _BATCH_SAMPLES])
-    del f
+    key = (n, fs, seed) if isinstance(seed, (int, np.integer)) else None
+    last = _last
+    if key is not None and last is not None and last[0] == key and all(
+            np.min(v) >= -_NEGATIVE_TOL and np.all(np.clip(v, 0.0, None) == last[1][part])
+            for part, v in _target_slices(psd, m, fs)):
+        return TimeSeries(sample_rate=fs, samples=last[2], seed=seed)
+    # a miss refills the memo's PSD buffer in place, so that buffer never moves on the heap
+    s = last[1] if last is not None and len(last[1]) == m // 2 + 1 else np.empty(m // 2 + 1)
+    _last = None
+    for part, v in _target_slices(psd, m, fs):
+        s[part] = v
+    del v  # the last slice, left alive, would pin the top of the heap
     if not np.min(s) >= -_NEGATIVE_TOL:
         raise NonPhysicalSpectrum(
             f"target PSD reaches {np.min(s)} on the synthesis grid"
         )
     np.clip(s, 0.0, None, out=s)
-    key = (n, fs, seed) if isinstance(seed, (int, np.integer)) else None
-    last = _last
-    if (key is not None and last is not None and last[0] == key
-            and np.array_equal(last[1], s)):
-        return TimeSeries(sample_rate=fs, samples=last[2], seed=seed)
-    _last = last = None  # free the old series before allocating the new one
+    last = None  # free the old series before allocating the new one
 
     # all real parts are drawn before all imaginary parts; one buffer holds each in turn.
     # gain and draw share one block; as two heap chunks, heap slack decided their trim.
@@ -170,14 +180,11 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     return TimeSeries(sample_rate=fs, samples=samples, seed=seed)
 
 
-def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> TimeSeries:
-    """Apply the heterodyne beat: y(t) = sqrt(2) cos(Omega t + dphi) x(t).
+def _beat(x: TimeSeries, Omega: float, dphi: float):
+    """The heterodyne beat of ``x`` as a function of a sample range [lo, hi).
 
-    The sqrt(2) gain makes the modulation floor-preserving: the time
-    average of 2 cos^2 is 1, so a unit-floor input stays at unit floor.
-    The carrier is tabulated once over one block and rotated to each
-    block's start phase, which is computed directly, so rounding does
-    not accumulate from block to block.
+    One carrier block is rotated to each block's directly computed start phase, so
+    rounding does not accumulate and any range is that range of the whole beat.
     """
     if not (np.isfinite(Omega) and np.isfinite(dphi)):
         raise ValueError(f"Omega and dphi must be finite, got {Omega} and {dphi}")
@@ -188,12 +195,28 @@ def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> T
     arg = Omega * (np.arange(b) / fs)
     c, s = np.sqrt(2.0) * np.cos(arg), np.sqrt(2.0) * np.sin(arg)
     theta = Omega * (np.arange(0, n, b) / fs) + dphi
+    ct, st = np.cos(theta), np.sin(theta)
+
+    def beat(lo: int, hi: int) -> np.ndarray:
+        j0, j1 = lo // b, -(-hi // b)  # the blocks that cover [lo, hi)
+        y = (ct[j0:j1, None] * c - st[j0:j1, None] * s).ravel()[lo - j0 * b:hi - j0 * b]
+        y *= x.samples[lo:hi]
+        return y
+    return beat
+
+
+def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> TimeSeries:
+    """Apply the heterodyne beat: y(t) = sqrt(2) cos(Omega t + dphi) x(t).
+
+    The sqrt(2) gain makes the modulation floor-preserving: the time
+    average of 2 cos^2 is 1, so a unit-floor input stays at unit floor.
+    ``welch_psd(x, cfg, beat=(Omega, dphi))`` estimates this series without building it.
+    """
+    n, beat = len(x.samples), _beat(x, Omega, dphi)
     y = np.empty(n)
-    for j, ct, st in zip(range(0, n, b), np.cos(theta), np.sin(theta)):
-        k = min(b, n - j)
-        np.subtract(ct * c[:k], st * s[:k], out=y[j:j + k])
-    y *= x.samples
-    return TimeSeries(sample_rate=fs, samples=y, seed=x.seed)
+    for j in range(0, n, _BATCH_SAMPLES):  # one batch of blocks at a time
+        y[j:j + _BATCH_SAMPLES] = beat(j, min(j + _BATCH_SAMPLES, n))
+    return TimeSeries(sample_rate=x.sample_rate, samples=y, seed=x.seed)
 
 
 def _window(cfg: WelchConfig) -> np.ndarray:
@@ -205,7 +228,7 @@ def _window(cfg: WelchConfig) -> np.ndarray:
 
 
 def welch_psd(y: TimeSeries, cfg: WelchConfig,
-              normalization: str = HETERODYNE_FLOOR) -> SpectralDensity:
+              normalization: str = HETERODYNE_FLOOR, beat=None) -> SpectralDensity:
     """Two-sided averaged-periodogram PSD estimate.
 
     Normalized so a unit-variance white input estimates to 1 in every
@@ -215,7 +238,9 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     Walden 1993), times sqrt(2) at the DC and Nyquist bins, which have one
     chi-square degree of freedom instead of two.  A series holding NaN or
     inf is refused, since it would turn the whole estimate into NaN.
+    ``beat=(Omega, dphi)`` estimates synthesize_photocurrent's series bit for bit, batch by batch.
     """
+    beaten = None if beat is None else _beat(y, *beat)
     if not np.isfinite(y.samples).all():
         raise ValueError("series has non-finite samples")
     n = len(y.samples)
@@ -230,12 +255,18 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     win = _window(cfg)
     norm = m * float(np.mean(win ** 2))
     acc = np.zeros(m // 2 + 1)
-    segments = np.lib.stride_tricks.sliding_window_view(y.samples, m)[::step][:n_segments]
+    all_segments = np.lib.stride_tricks.sliding_window_view(y.samples, m)[::step][:n_segments]
     batch = max(1, _BATCH_SAMPLES // m)
     for k in range(0, n_segments, batch):
+        segments = all_segments[k:k + batch]
+        if beaten is not None:  # beat this batch's samples and take its rows from them
+            part = beaten(k * step, (k + len(segments) - 1) * step + m)
+            if not np.isfinite(part).all():
+                raise ValueError("series has non-finite samples")  # the beat overflowed
+            segments = np.lib.stride_tricks.sliding_window_view(part, m)[::step]
         # rows are added one at a time, in segment order, as a per-segment
         # loop would: the estimate does not depend on the batch size
-        for row in np.abs(np.fft.rfft(win * segments[k:k + batch])) ** 2:
+        for row in np.abs(np.fft.rfft(win * segments)) ** 2:
             acc += row
     # a real series has an even periodogram: mirror the negative frequencies
     acc = np.concatenate((acc, acc[1:(m + 1) // 2][::-1]))
@@ -274,8 +305,7 @@ def monte_carlo_heterodyne(params: OpoParams, cfg: HeterodyneConfig, fs: float,
     s = quadrature_noise_spectrum(opo_spectra(params), cfg.phibar, params.eta)
     n = welch.total_samples(n_segments)
     x = synthesize_quadrature(s, n, fs, seed)
-    y = synthesize_photocurrent(x, cfg.Omega, cfg.dphi)
-    out = welch_psd(y, welch, normalization=HETERODYNE_FLOOR)
+    out = welch_psd(x, welch, normalization=HETERODYNE_FLOOR, beat=(cfg.Omega, cfg.dphi))
     snapshot = dict(out.config_snapshot)
     snapshot.update({"gamma": params.gamma, "epsilon": params.epsilon,
                      "eta": params.eta, "Omega": cfg.Omega,

@@ -520,6 +520,20 @@ _RUN_OPTIONAL = {
 }
 
 
+# One float key per example may instead take a log-uniform magnitude of
+# either sign over the whole float range, or one of its two ends.  Left out:
+# [correlation] averaging_periods, which sets the time-average length (about
+# 25 samples per beat period for each lag), so a large one allocates without
+# bound.
+_MAGNITUDE_KEYS = [key for key in _RUN_OPTIONAL if key not in {
+    ("grid", "points"), ("montecarlo", "window"), ("montecarlo", "n_segments_min"),
+    ("correlation", "averaging_periods")}]
+_MAGNITUDE = st.one_of(
+    st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1.0, -1.0]),
+              st.floats(-300.0, 300.0)),
+    st.sampled_from([5e-324, 1.7e308]))
+
+
 _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
           ("montecarlo", "overlay_seeds"): 0, ("lock", "duration"): 0.05,
           ("correlation", "points"): 11}
@@ -528,18 +542,24 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mode=st.sampled_from(list(RUNNERS)), svg=st.booleans(), seed=st.integers(0, 2 ** 32),
-       values=st.fixed_dictionaries(_RUN_SIZES, optional=_RUN_OPTIONAL))
+       values=st.fixed_dictionaries(_RUN_SIZES, optional=_RUN_OPTIONAL),
+       extreme=st.none() | st.tuples(st.sampled_from(_MAGNITUDE_KEYS), _MAGNITUDE))
 # a y span below the float spacing once looped the SVG tick generator forever
-@example(mode="spectrum", svg=True, seed=0, values={**_SMALL, ("opo", "epsilon"): 1e-17})
+@example(mode="spectrum", svg=True, seed=0, values={**_SMALL, ("opo", "epsilon"): 1e-17},
+         extreme=None)
 # a one-step lock trajectory once divided by its zero time span in the SVG
 @example(mode="lock", svg=True, seed=0,
-         values={**_SMALL, ("lock", "duration"): 2.0 ** -15, ("lock", "phibar0"): 0.0})
+         values={**_SMALL, ("lock", "duration"): 2.0 ** -15, ("lock", "phibar0"): 0.0},
+         extreme=None)
 # a subnormal offset once made the averaging window infinite (traceback)
 @example(mode="correlation", svg=False, seed=0,
-         values={**_SMALL, ("opo", "epsilon"): 0.3, ("heterodyne", "omega"): 5e-324})
-def test_every_mode_runs_or_refuses(tmp_path, capsys, mode, svg, seed, values):
+         values={**_SMALL, ("opo", "epsilon"): 0.3, ("heterodyne", "omega"): 5e-324},
+         extreme=None)
+def test_every_mode_runs_or_refuses(tmp_path, capsys, mode, svg, seed, values, extreme):
     # run, not only load: finite artifacts and a quiet stderr, or a config
     # or numerical refusal of one line that writes nothing
+    if extreme is not None:
+        values = {**values, extreme[0]: extreme[1]}
     sections = {}
     for (section, key), value in values.items():
         sections.setdefault(section, []).append(f"{key} = {value}")

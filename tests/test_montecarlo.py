@@ -90,6 +90,10 @@ class TestSynthesisLength:
         assert irfft_calls == [montecarlo._fast_length(n)]
 
 
+# the final synthesis bin of n = 1000 samples at fs = 4 (rad/s)
+NYQUIST_1000_4 = 2.0 * np.pi * np.fft.rfftfreq(montecarlo._fast_length(1000), 1 / 4.0)[-1]
+
+
 class TestSynthesisMemo:
     BASE = dict(psd=WHITE, n=1000, fs=4.0, seed=3)
 
@@ -105,12 +109,28 @@ class TestSynthesisMemo:
         {"n": 999},  # same 5-smooth synthesis length as n = 1000
         {"fs": 2.0},  # same samples of the white PSD
         {"psd": lambda w: np.where(np.asarray(w) == 0.0, np.nextafter(1.0, 2.0), 1.0)},
-    ], ids=["seed", "n", "fs", "psd"])
+        {"psd": lambda w: np.where(np.asarray(w) == NYQUIST_1000_4, np.nextafter(1.0, 2.0), 1.0)},
+    ], ids=["seed", "n", "fs", "psd", "psd_final_bin"])
     def test_any_change_misses(self, irfft_calls, change):
         bh.synthesize_quadrature(**self.BASE)
         bh.synthesize_quadrature(**{**self.BASE, **change})
         bh.synthesize_quadrature(**self.BASE)  # one entry: evicted by the change
         assert len(irfft_calls) == 3
+
+    def test_repeat_below_tolerance_refused_as_cold(self, irfft_calls, monkeypatch):
+        # clipped, the dip equals the stored zero; it must still be refused,
+        # with the message of a call that finds no memo
+        touch = lambda w: np.where(np.asarray(w) == 2.0 * np.pi, 0.0, 1.0)
+        dip = lambda w: np.where(np.asarray(w) == 2.0 * np.pi, -1e-6, 1.0)
+        bh.synthesize_quadrature(**{**self.BASE, "psd": touch})
+        with pytest.raises(NonPhysicalSpectrum) as warm:
+            bh.synthesize_quadrature(**{**self.BASE, "psd": dip})
+        monkeypatch.setattr(montecarlo, "_last", None)
+        with pytest.raises(NonPhysicalSpectrum) as cold:
+            bh.synthesize_quadrature(**{**self.BASE, "psd": dip})
+        assert str(warm.value) == str(cold.value)
+        assert str(cold.value) == "target PSD reaches -1e-06 on the synthesis grid"
+        assert len(irfft_calls) == 1
 
     def test_unseeded_never_memoized(self, irfft_calls):
         a = bh.synthesize_quadrature(**{**self.BASE, "seed": None})
@@ -183,6 +203,21 @@ class TestSynthesisSlices:
         assert sum(lengths) == montecarlo._fast_length(n) // 2 + 1
         assert max(lengths) <= self.BLOCK
 
+    # 300,000 = 2^5 3 5^5 and 759,375 = 3^5 5^5 bins over several slices
+    @pytest.mark.parametrize("m", [300_000, 759_375], ids=["even", "odd"])
+    def test_slice_grid_is_rfftfreq(self, irfft_calls, m):
+        fs, grid = 3.7, []
+
+        def psd(w):
+            grid.append(w)
+            return WHITE(w)
+
+        assert montecarlo._fast_length(m) == m
+        bh.synthesize_quadrature(psd, m, fs, seed=1)
+        assert len(grid) > 2
+        expected = 2.0 * np.pi * np.fft.rfftfreq(m, d=1.0 / fs)
+        assert np.concatenate(grid).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("value, where", [(-1e-6, "last"), (np.nan, "middle")],
                              ids=["negative_last", "nan_middle"])
     def test_bad_value_in_one_slice_refused(self, irfft_calls, value, where):
@@ -211,6 +246,20 @@ class TestSynthesisMemory:
             tracemalloc.stop()
         series_bytes = 8 * montecarlo._fast_length(n)
         assert peak <= 2.75 * series_bytes
+
+    def test_repeat_call_allocates_no_full_length_array(self, monkeypatch):
+        # a memo hit compares one slice of PSD samples at a time
+        n = 2 ** 20
+        monkeypatch.setattr(montecarlo, "_last", None)
+        first = bh.synthesize_quadrature(OPO_TARGET, n, 10.0, seed=4)
+        tracemalloc.start()
+        try:
+            again = bh.synthesize_quadrature(OPO_TARGET, n, 10.0, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.samples is first.samples
+        assert peak <= 0.5 * 8 * montecarlo._fast_length(n)
 
 
 class TestWelch:
@@ -329,6 +378,16 @@ class TestWelch:
                 bh.welch_psd(bh.TimeSeries(4.0, samples), tiny_welch())
 
 
+# the PSD of a beaten series, estimated two ways: from the built photocurrent,
+# or with the beat applied inside the Welch batches
+BEATS = {
+    "photocurrent": lambda x, Omega, dphi: bh.welch_psd(
+        bh.synthesize_photocurrent(x, Omega, dphi), tiny_welch(segment=128)),
+    "welch": lambda x, Omega, dphi: bh.welch_psd(
+        x, tiny_welch(segment=128), beat=(Omega, dphi)),
+}
+
+
 class TestModulation:
     def test_floor_preserved(self):
         welch = tiny_welch(segment=512)
@@ -382,6 +441,27 @@ class TestModulation:
         assert len(y) == n
         assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(x.samples))
 
+    # a step of one beat block, a ragged step over three batches, a series
+    # shorter than one block, and the rectangular window
+    @pytest.mark.parametrize("segment, overlap, window, n_seg", [
+        (8192, 0.5, "hann", 11), (1000, 0.3, "hann", 150), (256, 0.5, "hann", 8),
+        (512, 0.0, "rectangular", 20),
+    ], ids=["step_4096", "step_700", "short", "rectangular"])
+    def test_fused_beat_matches_photocurrent(self, segment, overlap, window, n_seg):
+        welch = tiny_welch(segment, overlap, window)
+        x = bh.synthesize_quadrature(WHITE, welch.total_samples(n_seg), 10.0, seed=segment)
+        fused = bh.welch_psd(x, welch, beat=(2.3, 0.7))
+        ref = bh.welch_psd(bh.synthesize_photocurrent(x, 2.3, 0.7), welch)
+        assert fused.chi_normalized.tobytes() == ref.chi_normalized.tobytes()
+        assert fused.sigma.tobytes() == ref.sigma.tobytes()
+        assert fused.config_snapshot == ref.config_snapshot
+
+    @pytest.mark.parametrize("beat", BEATS)
+    def test_overflowing_beat_refused(self, beat):
+        x = bh.TimeSeries(4.0, np.full(1024, 1.5e308))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            BEATS[beat](x, 1.0, 0.0)
+
     @pytest.mark.parametrize("Omega, dphi", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan),
                                              (1.0, -np.inf)])
     def test_non_finite_beat_refused(self, Omega, dphi):
@@ -393,6 +473,17 @@ class TestModulation:
         x = bh.synthesize_quadrature(WHITE, 1024, 1.0, seed=8)
         with pytest.raises(AliasRisk):
             bh.synthesize_photocurrent(x, 0.45 * 2 * np.pi * 1.0, 0.0)
+
+    @pytest.mark.parametrize("Omega, dphi", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan),
+                                             (1.0, -np.inf), (0.45 * 2 * np.pi * 1.0, 0.0)])
+    def test_fused_beat_refused_alike(self, Omega, dphi):
+        # the refusals of the two tests above, through welch_psd's beat
+        x = bh.synthesize_quadrature(WHITE, 1024, 1.0, seed=8)
+        with pytest.raises((ValueError, AliasRisk)) as built:
+            BEATS["photocurrent"](x, Omega, dphi)
+        with pytest.raises(built.type) as fused:
+            BEATS["welch"](x, Omega, dphi)
+        assert str(fused.value) == str(built.value)
 
 
 class TestRefusedBeforeSynthesis:
