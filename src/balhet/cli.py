@@ -2,6 +2,14 @@
 Monte-Carlo verification, dumps correlation tables, and simulates the
 phase lock, all from a declarative INI configuration.
 
+Runners compute, ``main`` writes.  Each ``run_<mode>`` writes nothing and
+returns ``(artifacts, panels)``: artifacts are ``(file name, writer,
+payload...)`` tuples, and panels are the plot panels that ``--svg`` writes to
+``<mode>.svg`` (``figure3`` lists its SVG as an artifact and returns no
+panels).  ``main`` joins each name onto the output directory and calls
+``writer(path, *payload)``, so a refusal raised while a runner computes
+leaves no output.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical/physicality
 error, 4 I/O error.
 """
@@ -213,10 +221,6 @@ def _sine_disturbance(amplitude: float, omega: float):
     return disturbance
 
 
-def _out(cfg: ExperimentConfig, name: str) -> str:
-    return os.path.join(cfg.out, name)
-
-
 def _spectrum_panel(title, curves, points=None):
     panel = Panel(title=title, xlabel="omega (rad/s)", ylabel="normalized noise power")
     for x, y, label in curves:
@@ -226,53 +230,41 @@ def _spectrum_panel(title, curves, points=None):
     return panel
 
 
-def run_spectrum(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
+def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
     spectra = opo_spectra(cfg.opo)
     grid = frequency_grid(cfg.grid_omega_max, cfg.grid_points,
                           include=(cfg.heterodyne.Omega,))
     het = heterodyne_spectrum(spectra, cfg.heterodyne, cfg.opo.eta, grid)
     hom = homodyne_spectrum(spectra, cfg.heterodyne.phibar, cfg.opo.eta, grid)
     meta = {"config_hash": cfg.hash}
-    paths = [_out(cfg, "spectrum_heterodyne.csv"), _out(cfg, "spectrum_homodyne.csv")]
-    write_spectral_csv(paths[0], het, meta)
-    write_spectral_csv(paths[1], hom, meta)
-    if svg:
-        panel = _spectrum_panel("heterodyne vs homodyne",
-                                [(het.omega_grid, het.chi_normalized, "het"),
-                                 (hom.omega_grid, hom.chi_normalized, "hom")])
-        paths.append(_out(cfg, "spectrum.svg"))
-        write_svg(paths[-1], [panel], columns=1)
-    return paths
+    panel = _spectrum_panel("heterodyne vs homodyne",
+                            [(het.omega_grid, het.chi_normalized, "het"),
+                             (hom.omega_grid, hom.chi_normalized, "hom")])
+    return [("spectrum_heterodyne.csv", write_spectral_csv, het, meta),
+            ("spectrum_homodyne.csv", write_spectral_csv, hom, meta)], [panel]
 
 
-def run_montecarlo(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
+def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
     mc = monte_carlo_heterodyne(cfg.opo, cfg.heterodyne, cfg.mc_sample_rate,
                                 cfg.mc_segments, cfg.welch, cfg.seed)
     analytic = heterodyne_spectrum(opo_spectra(cfg.opo), cfg.heterodyne,
                                    cfg.opo.eta, mc.omega_grid)
     meta = {"config_hash": cfg.hash, "seed": cfg.seed}
-    paths = [_out(cfg, "montecarlo.csv"), _out(cfg, "montecarlo_analytic.csv"),
-             _out(cfg, "montecarlo_manifest.json")]
-    write_spectral_csv(paths[0], mc, meta)
-    write_spectral_csv(paths[1], analytic, meta)
     n = cfg.welch.total_samples(mc.config_snapshot["n_segments"])
-    write_json(paths[2], {"seed": cfg.seed, "config_hash": cfg.hash,
-                          "tool_version": __version__,
-                          "n_segments": mc.config_snapshot["n_segments"],
-                          "samples": n, "transform_length": _fast_length(n),
-                          "config": cfg.snapshot})
-    if svg:
-        stride = max(1, len(mc.omega_grid) // 200)
-        panel = _spectrum_panel(
-            "Monte-Carlo vs analytic",
-            [(analytic.omega_grid, analytic.chi_normalized, "analytic")],
-            [(mc.omega_grid[::stride], mc.chi_normalized[::stride], "mc")])
-        paths.append(_out(cfg, "montecarlo.svg"))
-        write_svg(paths[-1], [panel], columns=1)
-    return paths
+    manifest = {"seed": cfg.seed, "config_hash": cfg.hash, "tool_version": __version__,
+                "n_segments": mc.config_snapshot["n_segments"],
+                "samples": n, "transform_length": _fast_length(n), "config": cfg.snapshot}
+    stride = max(1, len(mc.omega_grid) // 200)
+    panel = _spectrum_panel(
+        "Monte-Carlo vs analytic",
+        [(analytic.omega_grid, analytic.chi_normalized, "analytic")],
+        [(mc.omega_grid[::stride], mc.chi_normalized[::stride], "mc")])
+    return [("montecarlo.csv", write_spectral_csv, mc, meta),
+            ("montecarlo_analytic.csv", write_spectral_csv, analytic, meta),
+            ("montecarlo_manifest.json", write_json, manifest)], [panel]
 
 
-def run_correlation(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
+def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
     state = opo_field_state(cfg.opo)
     het = cfg.heterodyne
     tau = np.linspace(-cfg.correlation_iota_max, cfg.correlation_iota_max,
@@ -284,46 +276,35 @@ def run_correlation(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
     columns = {"tau": tau, "lambda_prime": closed,
                "lambda_prime_quadrature": quad_form, "time_average": averaged}
     meta = {"config_hash": cfg.hash, "averaging_time": T}
-    paths = [_out(cfg, "correlation.csv")]
-    write_table_csv(paths[0], columns, meta)
-    if svg:
-        panel = Panel(title="time-averaged intensity correlation",
-                      xlabel="lag (s)", ylabel="lambda'")
-        panel.add_line(tau, closed)
-        panel.add_points(tau[::5], averaged[::5])
-        paths.append(_out(cfg, "correlation.svg"))
-        write_svg(paths[-1], [panel], columns=1)
-    return paths
+    panel = Panel(title="time-averaged intensity correlation",
+                  xlabel="lag (s)", ylabel="lambda'")
+    panel.add_line(tau, closed)
+    panel.add_points(tau[::5], averaged[::5])
+    return [("correlation.csv", write_table_csv, columns, meta)], [panel]
 
 
-def run_lock(cfg: ExperimentConfig, svg: bool = False) -> list[str]:
+def run_lock(cfg: ExperimentConfig) -> tuple[list, list]:
     state = coherent_state(cfg.lock_mean)
     trajectory = closed_loop_simulate(state, cfg.lock_heterodyne, cfg.lock,
                                       eta=cfg.opo.eta)
     stride = max(1, len(trajectory.time) // 4000)
-    meta = {"config_hash": cfg.hash}
-    paths = [_out(cfg, "lock_trajectory.csv"), _out(cfg, "lock_summary.json")]
-    write_table_csv(paths[0], {"t": trajectory.time[::stride],
-                               "phibar": trajectory.phibar[::stride],
-                               "error": trajectory.error_signal[::stride]}, meta)
-    write_json(paths[1], {"locked": trajectory.locked,
-                          "lock_time": trajectory.lock_time,
-                          "lock_point": trajectory.lock_point,
-                          "residual_rms": trajectory.residual_rms,
-                          "config_hash": cfg.hash,
-                          "tool_version": __version__})
-    if svg:
-        phase = Panel(title="phase trajectory", xlabel="t (s)", ylabel="phibar (rad)")
-        phase.add_line(trajectory.time[::stride], trajectory.phibar[::stride])
-        err = Panel(title="error signal", xlabel="t (s)", ylabel="error")
-        err.add_line(trajectory.time[::stride], trajectory.error_signal[::stride])
-        paths.append(_out(cfg, "lock.svg"))
-        write_svg(paths[-1], [phase, err], columns=2)
-    return paths
+    t = trajectory.time[::stride]
+    phibar, error = trajectory.phibar[::stride], trajectory.error_signal[::stride]
+    summary = {"locked": trajectory.locked, "lock_time": trajectory.lock_time,
+               "lock_point": trajectory.lock_point,
+               "residual_rms": trajectory.residual_rms,
+               "config_hash": cfg.hash, "tool_version": __version__}
+    phase = Panel(title="phase trajectory", xlabel="t (s)", ylabel="phibar (rad)")
+    phase.add_line(t, phibar)
+    err = Panel(title="error signal", xlabel="t (s)", ylabel="error")
+    err.add_line(t, error)
+    return [("lock_trajectory.csv", write_table_csv,
+             {"t": t, "phibar": phibar, "error": error}, {"config_hash": cfg.hash}),
+            ("lock_summary.json", write_json, summary)], [phase, err]
 
 
-def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
-    """Reproduce the four noise-reduction panels; always writes the SVG.
+def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
+    """Reproduce the four noise-reduction panels; its SVG is an artifact.
 
     Panels a-c: heterodyne with offset/damping ratios 0.05, 0.5, 5 via the
     closed-form split Lorentzians; panel d: homodyne with the same source.
@@ -345,27 +326,22 @@ def run_figure3(cfg: ExperimentConfig, svg: bool = True) -> list[str]:
     estimators.append(lambda seed: monte_carlo_homodyne(
         cfg.opo, 0.0, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, seed))
 
-    # The overlay runs before any file is written, so its failure leaves no
-    # partial output.  Seed-major: all four panels read the same phibar = 0
-    # quadrature series, so the synthesis memo turns three of every four into hits.
+    # Seed-major: all four panels read the same phibar = 0 quadrature
+    # series, so the synthesis memo turns three of every four into hits.
     omega, chi_sums = None, [0.0] * len(estimators)
     for k in range(cfg.overlay_seeds):
         for j, estimate in enumerate(estimators):
             mc = estimate(cfg.seed + k)
             omega, chi_sums[j] = mc.omega_grid, chi_sums[j] + mc.chi_normalized
     meta = {"config_hash": cfg.hash}
-    paths, panels = [], []
+    artifacts, panels = [], []
     for label, (title, sd), chi_sum in zip("abcd", curves, chi_sums):
-        paths.append(_out(cfg, f"figure3_{label}.csv"))
-        write_spectral_csv(paths[-1], sd, meta)
+        artifacts.append((f"figure3_{label}.csv", write_spectral_csv, sd, meta))
         points = [] if omega is None else _overlay_points(
             omega, chi_sum / cfg.overlay_seeds, sd.omega_grid[-1])
         panels.append(_spectrum_panel(
             title, [(sd.omega_grid, sd.chi_normalized, "analytic")], points))
-
-    paths.append(_out(cfg, "figure3.svg"))
-    write_svg(paths[-1], panels, columns=2)
-    return paths
+    return [*artifacts, ("figure3.svg", write_svg, panels)], []
 
 
 def _overlay_points(omega, chi, omega_max: float) -> list:
@@ -408,7 +384,13 @@ def main(argv=None) -> int:
         # At extreme magnitudes numpy warns of overflow; the finiteness checks
         # refuse what matters, and a warning would break the one-line message.
         with np.errstate(all="ignore"):
-            paths = RUNNERS[cfg.mode](cfg, svg=args.svg)
+            artifacts, panels = RUNNERS[cfg.mode](cfg)
+            if args.svg and panels:
+                artifacts.append((f"{cfg.mode}.svg", write_svg, panels))
+            paths = []
+            for name, writer, *payload in artifacts:
+                paths.append(os.path.join(cfg.out, name))
+                writer(paths[-1], *payload)
     except (BalhetError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -252,24 +252,18 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
 
 
 def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
-                 lock: LockConfig, eta: float = 1.0,
-                 average_time: float | None = None) -> float:
+                 lock: LockConfig, eta: float = 1.0, *,
+                 average_time: float) -> float:
     """Demodulated DC error for the current oscillator phases.
 
     Runs the lock open loop (zero gains, no disturbance) and averages the
-    low-passed error after a settling time of 30 filter time constants.
-    The averaging window is rounded to whole periods of the demodulation
-    frequency; pass ``average_time`` as a multiple of the common beat
-    period for exact rejection of every residual line.
+    low-passed error over ``average_time`` after a settling time of 30
+    filter time constants.  Pass ``average_time`` as a multiple of the
+    common beat period for exact rejection of every residual line.
     """
     validate_lock(cfg, lock)
-    nu_period = TWO_PI / (cfg.Omega - lock.Omega_prime)
     # long enough that the filter's startup transient is below rounding
     settle_time = 30.0 / lock.cutoff(cfg)
-    if average_time is None:
-        average_time = max(32.0 * nu_period,
-                           nu_period * math.floor((lock.duration - settle_time)
-                                                  / nu_period))
     n_avg = max(1, int(round(average_time / lock.dt)))
     n_settle = int(math.ceil(settle_time / lock.dt))
     open_loop = replace(lock, kp=0.0, ki=0.0, disturbance=None)

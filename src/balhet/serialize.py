@@ -58,14 +58,15 @@ def _meta_lines(schema: str, meta: dict) -> list[str]:
     return lines
 
 
-def write_spectral_csv(path: str, sd: SpectralDensity, extra_meta: dict | None = None) -> None:
-    """Serialize a spectral density as ``omega,chi_normalized[,sigma]``."""
+def write_spectral_csv(path: str, sd: SpectralDensity, extra_meta: dict) -> None:
+    """Serialize a spectral density as ``omega,chi_normalized[,sigma]``.
+
+    ``extra_meta`` carries the run's ``config_hash`` and overrides the
+    spectrum's own snapshot keys.
+    """
     meta = {"normalization": sd.normalization}
-    meta.update({k: v for k, v in sd.config_snapshot.items()})
-    if extra_meta:
-        meta.update(extra_meta)
-    if "config_hash" not in meta:
-        meta["config_hash"] = config_hash(dict(sd.config_snapshot))
+    meta.update(sd.config_snapshot)
+    meta.update(extra_meta)
     columns = {"omega": sd.omega_grid, "chi_normalized": sd.chi_normalized}
     if sd.sigma is not None:
         columns["sigma"] = sd.sigma

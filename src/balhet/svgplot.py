@@ -9,6 +9,7 @@ import numpy as np
 
 _COLORS = ("#1f6fb2", "#d1495b", "#3c8d53", "#8a5fb0")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 58, 14, 30, 42
+_PANEL_W, _PANEL_H = 380, 280
 
 
 @dataclass
@@ -113,25 +114,23 @@ def _panel_svg(panel: Panel, x0: float, y0: float, width: float, height: float):
     return out
 
 
-def render_panels(panels, columns: int = 2, panel_width: int = 380,
-                  panel_height: int = 280) -> str:
-    """Lay panels out on a grid and return the SVG document text."""
+def render_panels(panels) -> str:
+    """Lay panels out two to a row and return the SVG document text."""
     n = len(panels)
-    columns = max(1, min(columns, n))
+    columns = max(1, min(2, n))
     rows = (n + columns - 1) // columns
-    total_w = columns * panel_width
-    total_h = rows * panel_height
+    total_w = columns * _PANEL_W
+    total_h = rows * _PANEL_H
     body = []
     for i, panel in enumerate(panels):
         r, c = divmod(i, columns)
-        body.extend(_panel_svg(panel, c * panel_width, r * panel_height,
-                               panel_width, panel_height))
+        body.extend(_panel_svg(panel, c * _PANEL_W, r * _PANEL_H, _PANEL_W, _PANEL_H))
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
             f'height="{total_h}" viewBox="0 0 {total_w} {total_h}">'
             '<rect width="100%" height="100%" fill="white"/>')
     return head + "".join(body) + "</svg>\n"
 
 
-def write_svg(path: str, panels, columns: int = 2) -> None:
+def write_svg(path: str, panels) -> None:
     from .serialize import _atomic_write
-    _atomic_write(path, render_panels(panels, columns=columns))
+    _atomic_write(path, render_panels(panels))

@@ -400,29 +400,57 @@ class TestExitCodes:
         assert run_cli("spectrum", "--out", str(blocker / "sub")) == 4
 
 
+# each "## Command line" invocation of the README: argv, config, artifacts
+README_COMMANDS = {
+    "figure3": (["figure3"], None, ["figure3_a.csv", "figure3_b.csv", "figure3_c.csv",
+                                    "figure3_d.csv", "figure3.svg"]),
+    "spectrum": (["spectrum", "--svg"], None,
+                 ["spectrum_heterodyne.csv", "spectrum_homodyne.csv", "spectrum.svg"]),
+    "montecarlo": (["montecarlo", "--seed", "7"],
+                   "[montecarlo]\nsegments = 24\nsegment_length = 512\n",
+                   ["montecarlo.csv", "montecarlo_analytic.csv", "montecarlo_manifest.json"]),
+    "correlation": (["correlation"], "[opo]\nepsilon = 0.3\n", ["correlation.csv"]),
+    "lock": (["lock", "--svg"], None, ["lock_trajectory.csv", "lock_summary.json", "lock.svg"]),
+}
+
+
+def _config(tmp_path, ini):
+    if ini is None:
+        return None
+    (tmp_path / "below.ini").write_text(ini)
+    return str(tmp_path / "below.ini")
+
+
 @pytest.mark.parametrize("argv, ini, artifacts", [
-    (["figure3"], None, ["figure3_a.csv", "figure3_b.csv", "figure3_c.csv",
-                         "figure3_d.csv", "figure3.svg"]),
-    (["spectrum", "--svg"], None,
-     ["spectrum_heterodyne.csv", "spectrum_homodyne.csv", "spectrum.svg"]),
-    (["montecarlo", "--seed", "7"], "[montecarlo]\nsegments = 24\nsegment_length = 512\n",
-     ["montecarlo.csv", "montecarlo_analytic.csv", "montecarlo_manifest.json"]),
-    (["correlation"], "[opo]\nepsilon = 0.3\n", ["correlation.csv"]),
-    (["lock", "--svg"], None, ["lock_trajectory.csv", "lock_summary.json", "lock.svg"]),
-], ids=["figure3", "spectrum", "montecarlo", "correlation", "lock"])
+    *README_COMMANDS.values(),
+    (["spectrum"], None, ["spectrum_heterodyne.csv", "spectrum_homodyne.csv"]),
+], ids=[*README_COMMANDS, "spectrum_without_svg"])
 def test_readme_commands(tmp_path, capsys, argv, ini, artifacts):
-    # each "## Command line" invocation of the README, at shipped defaults
+    # exactly the listed files: no SVG without --svg, except figure3's
     out = tmp_path / "out"
     if ini is not None:
-        (tmp_path / "below.ini").write_text(ini)
-        argv = [*argv, "--config", str(tmp_path / "below.ini")]
+        argv = [*argv, "--config", _config(tmp_path, ini)]
     assert run_cli(*argv, "--out", str(out)) == 0
     assert capsys.readouterr().out.split() == [str(out / name) for name in artifacts]
+    assert sorted(os.listdir(out)) == sorted(artifacts)
     for name in artifacts:
         assert (out / name).stat().st_size > 0
         if name.endswith(".csv"):
             _, cols = read_csv(str(out / name))
             assert all(np.all(np.isfinite(c)) for c in cols.values())
+
+
+@pytest.mark.parametrize("mode", RUNNERS)
+def test_runners_compute_and_write_nothing(tmp_path, mode):
+    # only main joins a name onto the output directory and calls its writer
+    _, ini, artifacts = README_COMMANDS[mode]
+    cfg = load_config(_config(tmp_path, ini), mode=mode, out=str(tmp_path / "out"))
+    before = sorted(tmp_path.iterdir())
+    returned, panels = RUNNERS[mode](cfg)
+    assert sorted(tmp_path.iterdir()) == before
+    assert [name for name, *_ in returned] == [
+        name for name in artifacts if mode == "figure3" or name != f"{mode}.svg"]
+    assert (panels == []) == (mode == "figure3")
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf"]))

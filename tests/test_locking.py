@@ -174,7 +174,7 @@ class TestErrorSignal:
     def test_demodulation_clash(self):
         lock = lock_config(lowpass_cutoff=TWO_PI * (F_HET - F_MOD) * 1.5)
         with pytest.raises(DemodClash):
-            bh.error_signal(STATE, het_config(), lock)
+            bh.error_signal(STATE, het_config(), lock, average_time=0.125)
 
     @pytest.mark.parametrize("cutoff", [-50.0, 0.0, math.nan, math.inf])
     def test_cutoff_outside_open_half_line_refused(self, cutoff):
@@ -191,17 +191,21 @@ class TestErrorSignal:
     def test_validation(self):
         with pytest.raises(ValueError):  # modulation above the beat
             bh.error_signal(STATE, het_config(),
-                            bh.LockConfig(Omega_prime=TWO_PI * 2000.0))
+                            bh.LockConfig(Omega_prime=TWO_PI * 2000.0),
+                            average_time=0.125)
         with pytest.raises(ValueError):  # step too coarse
-            bh.error_signal(STATE, het_config(), lock_config(dt=1e-3))
+            bh.error_signal(STATE, het_config(), lock_config(dt=1e-3),
+                            average_time=0.125)
         with pytest.raises(ValueError):  # depth outside the sideband picture
-            bh.error_signal(STATE, het_config(), lock_config(theta=1.5))
+            bh.error_signal(STATE, het_config(), lock_config(theta=1.5),
+                            average_time=0.125)
 
     def test_modulation_at_beat_rejected(self):
         # the lock check runs before the step count divides by Omega - Omega'
         with pytest.raises(ValueError, match="below the heterodyne offset"):
             bh.error_signal(STATE, het_config(),
-                            bh.LockConfig(Omega_prime=TWO_PI * F_HET))
+                            bh.LockConfig(Omega_prime=TWO_PI * F_HET),
+                            average_time=0.125)
 
 
 class TestClosedLoop:
