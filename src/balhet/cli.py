@@ -22,13 +22,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature_form,
                           time_average_reduce)
-from .errors import BalhetError, ConfigInvalid, DemodClash, InsufficientAveraging
+from .errors import BalhetError, ConfigInvalid, InsufficientAveraging
 from .field import HeterodyneConfig, OpoParams, coherent_state, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate, validate_lock
 from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
@@ -73,12 +74,15 @@ class ExperimentConfig:
 
 
 def _parser_with_defaults(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     with open(REFERENCE_INI, encoding="utf-8") as handle:  # missing only in a broken install
         parser.read_file(handle)
     known = {section: set(parser[section]) for section in parser.sections()}
-    if path is not None and not parser.read(path):
-        raise ConfigInvalid(f"config file not found: {path}")
+    try:
+        if path is not None and not parser.read(path, encoding="utf-8"):
+            raise ConfigInvalid(f"config file not found: {path}")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # ParsingError spans lines
+        raise ConfigInvalid(f"cannot read {path}: {' '.join(str(exc).split())}") from None
     for section in parser.sections():
         if section not in known:
             raise ConfigInvalid(f"unknown config section [{section}]")
@@ -109,7 +113,12 @@ def _get(parser, section, key, conv, errors, rule=None):
 
 
 def _check(errors, where, check, *args, **kwargs):
-    """Call a library constructor or check; record a refusal under ``where``."""
+    """Call a library constructor or check; record a refusal under ``where``.
+
+    A ``None`` argument failed to parse and is reported already, so the call is skipped.
+    """
+    if any(value is None for value in (*args, *kwargs.values())):
+        return None
     try:
         return check(*args, **kwargs)
     except (TypeError, ValueError, BalhetError) as exc:
@@ -174,24 +183,19 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     disturbance = None
     if dist_amp and dist_omega:
         disturbance = _sine_disturbance(dist_amp, dist_omega)
-    try:
-        lock = LockConfig(Omega_prime=f("lock", "omega_prime"),
-                          theta=f("lock", "theta"),
-                          demod_phase=f("lock", "demod_phase"),
-                          lowpass_cutoff=_get(
-                              parser, "lock", "lowpass_cutoff",
-                              lambda raw: float(raw) if raw.strip() else None, errors),
-                          kp=f("lock", "kp"), ki=f("lock", "ki"),
-                          dt=f("lock", "dt"), duration=f("lock", "duration"),
-                          disturbance=disturbance,
-                          lock_tolerance=f("lock", "lock_tolerance"))
-        lock_het = HeterodyneConfig(Omega=f("lock", "omega"),
-                                    phi1=phibar0, phi2=phibar0,
-                                    amplitude=f("lock", "amplitude"))
-        validate_lock(lock_het, lock)
-    except (TypeError, ValueError, DemodClash) as exc:
-        errors.append(f"[lock] {exc}")
-        lock = lock_het = None
+    # an empty cutoff and a missing disturbance are valid Nones, so bind them first
+    cutoff = _get(parser, "lock", "lowpass_cutoff",
+                  lambda raw: float(raw) if raw.strip() else None, errors)
+    lock = _check(errors, "[lock]",
+                  partial(LockConfig, lowpass_cutoff=cutoff, disturbance=disturbance),
+                  Omega_prime=f("lock", "omega_prime"), theta=f("lock", "theta"),
+                  demod_phase=f("lock", "demod_phase"), kp=f("lock", "kp"),
+                  ki=f("lock", "ki"), dt=f("lock", "dt"), duration=f("lock", "duration"),
+                  lock_tolerance=f("lock", "lock_tolerance"))
+    lock_het = _check(errors, "[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
+                      phi1=phibar0, phi2=phibar0, amplitude=f("lock", "amplitude"))
+    if lock and lock_het:
+        _check(errors, "[lock]", validate_lock, lock_het, lock)
     mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
 
     if errors:
@@ -221,13 +225,8 @@ def _sine_disturbance(amplitude: float, omega: float):
     return disturbance
 
 
-def _spectrum_panel(title, curves, points=None):
-    panel = Panel(title=title, xlabel="omega (rad/s)", ylabel="normalized noise power")
-    for x, y, label in curves:
-        panel.add_line(x, y, label)
-    for x, y, label in points or []:
-        panel.add_points(x, y, label)
-    return panel
+def _spectrum_panel(title, curves, points=()):
+    return Panel(title, "omega (rad/s)", "normalized noise power", curves, list(points))
 
 
 def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
@@ -238,8 +237,8 @@ def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
     hom = homodyne_spectrum(spectra, cfg.heterodyne.phibar, cfg.opo.eta, grid)
     meta = {"config_hash": cfg.hash}
     panel = _spectrum_panel("heterodyne vs homodyne",
-                            [(het.omega_grid, het.chi_normalized, "het"),
-                             (hom.omega_grid, hom.chi_normalized, "hom")])
+                            [(het.omega_grid, het.chi_normalized),
+                             (hom.omega_grid, hom.chi_normalized)])
     return [("spectrum_heterodyne.csv", write_spectral_csv, het, meta),
             ("spectrum_homodyne.csv", write_spectral_csv, hom, meta)], [panel]
 
@@ -255,10 +254,9 @@ def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
                 "n_segments": mc.config_snapshot["n_segments"],
                 "samples": n, "transform_length": _fast_length(n), "config": cfg.snapshot}
     stride = max(1, len(mc.omega_grid) // 200)
-    panel = _spectrum_panel(
-        "Monte-Carlo vs analytic",
-        [(analytic.omega_grid, analytic.chi_normalized, "analytic")],
-        [(mc.omega_grid[::stride], mc.chi_normalized[::stride], "mc")])
+    panel = _spectrum_panel("Monte-Carlo vs analytic",
+                            [(analytic.omega_grid, analytic.chi_normalized)],
+                            [(mc.omega_grid[::stride], mc.chi_normalized[::stride])])
     return [("montecarlo.csv", write_spectral_csv, mc, meta),
             ("montecarlo_analytic.csv", write_spectral_csv, analytic, meta),
             ("montecarlo_manifest.json", write_json, manifest)], [panel]
@@ -276,10 +274,8 @@ def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
     columns = {"tau": tau, "lambda_prime": closed,
                "lambda_prime_quadrature": quad_form, "time_average": averaged}
     meta = {"config_hash": cfg.hash, "averaging_time": T}
-    panel = Panel(title="time-averaged intensity correlation",
-                  xlabel="lag (s)", ylabel="lambda'")
-    panel.add_line(tau, closed)
-    panel.add_points(tau[::5], averaged[::5])
+    panel = Panel("time-averaged intensity correlation", "lag (s)", "lambda'",
+                  [(tau, closed)], [(tau[::5], averaged[::5])])
     return [("correlation.csv", write_table_csv, columns, meta)], [panel]
 
 
@@ -294,10 +290,8 @@ def run_lock(cfg: ExperimentConfig) -> tuple[list, list]:
                "lock_point": trajectory.lock_point,
                "residual_rms": trajectory.residual_rms,
                "config_hash": cfg.hash, "tool_version": __version__}
-    phase = Panel(title="phase trajectory", xlabel="t (s)", ylabel="phibar (rad)")
-    phase.add_line(t, phibar)
-    err = Panel(title="error signal", xlabel="t (s)", ylabel="error")
-    err.add_line(t, error)
+    phase = Panel("phase trajectory", "t (s)", "phibar (rad)", [(t, phibar)])
+    err = Panel("error signal", "t (s)", "error", [(t, error)])
     return [("lock_trajectory.csv", write_table_csv,
              {"t": t, "phibar": phibar, "error": error}, {"config_hash": cfg.hash}),
             ("lock_summary.json", write_json, summary)], [phase, err]
@@ -317,7 +311,7 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
         grid = frequency_grid(3.0 * gamma + Om, cfg.grid_points, include=(Om,))
         curves.append((f"({label}) heterodyne, offset/damping = {ratio}",
                        opo_heterodyne_closed_form(cfg.opo, Om, grid)))
-        het = HeterodyneConfig(Omega=Om, amplitude=cfg.heterodyne.amplitude)
+        het = HeterodyneConfig(Omega=Om)
         estimators.append(lambda seed, het=het: monte_carlo_heterodyne(
             cfg.opo, het, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, seed))
     grid = frequency_grid(3.0 * gamma, cfg.grid_points)
@@ -339,8 +333,7 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
         artifacts.append((f"figure3_{label}.csv", write_spectral_csv, sd, meta))
         points = [] if omega is None else _overlay_points(
             omega, chi_sum / cfg.overlay_seeds, sd.omega_grid[-1])
-        panels.append(_spectrum_panel(
-            title, [(sd.omega_grid, sd.chi_normalized, "analytic")], points))
+        panels.append(_spectrum_panel(title, [(sd.omega_grid, sd.chi_normalized)], points))
     return [*artifacts, ("figure3.svg", write_svg, panels)], []
 
 
@@ -348,7 +341,7 @@ def _overlay_points(omega, chi, omega_max: float) -> list:
     """About 60 seed-averaged Monte-Carlo points within +/-omega_max."""
     keep = np.abs(omega) <= omega_max
     stride = max(1, int(np.sum(keep)) // 60)
-    return [(omega[keep][::stride], chi[keep][::stride], "mc")]
+    return [(omega[keep][::stride], chi[keep][::stride])]
 
 
 RUNNERS = {"spectrum": run_spectrum, "montecarlo": run_montecarlo,

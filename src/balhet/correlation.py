@@ -76,7 +76,7 @@ def lambda_prime_quadrature_form(state: GaussianFieldState,
     return cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * combo
 
 
-def check_averaging(Omega: float, averaging_periods: float, iota_max: float = 0.0) -> None:
+def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> None:
     """Refuse averaging lambda(t, iota) over T = averaging_periods * pi / Omega.
 
     Omega must be positive, T must span ``MIN_BEAT_PERIODS`` beat periods,

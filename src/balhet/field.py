@@ -199,8 +199,7 @@ def opo_spectra(params: OpoParams) -> QuadratureSpectra:
     return QuadratureSpectra(phi11=phi11, phi22=phi22, phi12_plus_phi21=cross)
 
 
-def opo_field_state(params: OpoParams, *,
-                    mean_amplitude: complex = 0j) -> GaussianFieldState:
+def opo_field_state(params: OpoParams) -> GaussianFieldState:
     """Time-domain kernels of the parametric-oscillator output.
 
     Inverse transforms of the Lorentzian spectra:
@@ -215,14 +214,11 @@ def opo_field_state(params: OpoParams, *,
     gamma, eps, eta = params.gamma, params.epsilon, params.eta
     kp = gamma / 2.0 + eps
     km = gamma / 2.0 - eps
-    if eps > 0.0 and km <= 0.0:
+    if km <= 0.0:
         raise ThresholdDivergence(
             "time-domain kernels require a pump strictly below threshold"
         )
     scale = eps * gamma / (4.0 * eta)
-
-    if eps == 0.0:
-        return coherent_state(mean_amplitude)
 
     def g11(tau):
         at = np.abs(np.asarray(tau, dtype=float))
@@ -232,7 +228,7 @@ def opo_field_state(params: OpoParams, *,
         at = np.abs(np.asarray(tau, dtype=float))
         return -scale * (np.exp(-km * at) / km + np.exp(-kp * at) / kp) + 0j
 
-    return GaussianFieldState(complex(mean_amplitude), g11, g20)
+    return GaussianFieldState(0j, g11, g20)
 
 
 def gammas_to_quadrature_correlations(state: GaussianFieldState) -> QuadratureKernels:

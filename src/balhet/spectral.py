@@ -8,7 +8,7 @@ and the detector response drops out of every plotted quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,11 @@ class SpectralDensity:
     omega_grid: np.ndarray
     chi_normalized: np.ndarray
     normalization: str
-    config_snapshot: dict = field(default_factory=dict)
+    config_snapshot: dict
     sigma: np.ndarray | None = None
 
 
-def frequency_grid(omega_max: float, points: int = 1001, include=()) -> np.ndarray:
+def frequency_grid(omega_max: float, points: int, include=()) -> np.ndarray:
     """Symmetric two-sided grid on [-omega_max, omega_max].
 
     Any frequencies in ``include`` (and their negatives) are inserted

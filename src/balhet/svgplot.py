@@ -16,23 +16,17 @@ _PANEL_W, _PANEL_H = 380, 280
 class Panel:
     """One set of axes: line series plus optional scatter points."""
 
-    title: str = ""
-    xlabel: str = ""
-    ylabel: str = ""
-    series: list = field(default_factory=list)   # (x, y, label)
-    points: list = field(default_factory=list)   # (x, y, label)
-
-    def add_line(self, x, y, label=""):
-        self.series.append((np.asarray(x, float), np.asarray(y, float), label))
-
-    def add_points(self, x, y, label=""):
-        self.points.append((np.asarray(x, float), np.asarray(y, float), label))
+    title: str
+    xlabel: str
+    ylabel: str
+    series: list                                 # (x, y) pairs
+    points: list = field(default_factory=list)   # (x, y) pairs
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5):
+def _nice_ticks(lo: float, hi: float):
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -91,22 +85,19 @@ def _panel_svg(panel: Panel, x0: float, y0: float, width: float, height: float):
                    f'x2="{px0:.1f}" y2="{sy(tick):.1f}" stroke="#444"/>')
         out.append(f'<text x="{px0 - 7:.1f}" y="{sy(tick) + 3:.1f}" '
                    f'text-anchor="end" font-size="10">{_fmt(tick)}</text>')
-    if panel.title:
-        out.append(f'<text x="{x0 + width / 2:.1f}" y="{y0 + 16:.1f}" '
-                   f'text-anchor="middle" font-size="12">{panel.title}</text>')
-    if panel.xlabel:
-        out.append(f'<text x="{px0 + pw / 2:.1f}" y="{y0 + height - 8:.1f}" '
-                   f'text-anchor="middle" font-size="11">{panel.xlabel}</text>')
-    if panel.ylabel:
-        cx, cy = x0 + 14, py0 + ph / 2
-        out.append(f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
-                   f'font-size="11" transform="rotate(-90 {cx:.1f} {cy:.1f})">'
-                   f'{panel.ylabel}</text>')
-    for i, (x, y, _) in enumerate(panel.series):
+    out.append(f'<text x="{x0 + width / 2:.1f}" y="{y0 + 16:.1f}" '
+               f'text-anchor="middle" font-size="12">{panel.title}</text>')
+    out.append(f'<text x="{px0 + pw / 2:.1f}" y="{y0 + height - 8:.1f}" '
+               f'text-anchor="middle" font-size="11">{panel.xlabel}</text>')
+    cx, cy = x0 + 14, py0 + ph / 2
+    out.append(f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
+               f'font-size="11" transform="rotate(-90 {cx:.1f} {cy:.1f})">'
+               f'{panel.ylabel}</text>')
+    for i, (x, y) in enumerate(panel.series):
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.5"/>')
-    for i, (x, y, _) in enumerate(panel.points):
+    for i, (x, y) in enumerate(panel.points):
         color = _COLORS[(i + 1) % len(_COLORS)]
         for a, b in zip(x, y):
             out.append(f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="2" '

@@ -6,6 +6,7 @@ import math
 import os
 import stat
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
 from balhet.errors import ConfigInvalid, NonPhysicalSpectrum
+from balhet.field import coherent_state
+from balhet.locking import closed_loop_simulate
 from balhet.serialize import write_table_csv
 
 
@@ -159,6 +162,27 @@ class TestArtifacts:
         assert abs(cols["phibar"][-1]) < 1e-3
         assert (out / "lock.svg").read_text().startswith("<svg")
 
+    def test_lock_with_sine_disturbance(self, tmp_path):
+        # the [lock] disturbance keys add amplitude * sin(omega t) to the loop
+        conf = tmp_path / "exp.ini"
+        conf.write_text("[lock]\ndisturbance_amplitude = 0.001\ndisturbance_omega = 50\n"
+                        "lock_tolerance = 0.01\n")
+        out = tmp_path / "out"
+        assert run_cli("lock", "--config", str(conf), "--out", str(out)) == 0
+        summary = json.loads((out / "lock_summary.json").read_text())
+        cfg = load_config(str(conf), mode="lock")
+        state = coherent_state(cfg.lock_mean)
+        sine = replace(cfg.lock, disturbance=lambda t: 0.001 * np.sin(50.0 * np.asarray(t)))
+        expected = closed_loop_simulate(state, cfg.lock_heterodyne, sine, eta=cfg.opo.eta)
+        quiet = closed_loop_simulate(state, cfg.lock_heterodyne,
+                                     replace(cfg.lock, disturbance=None), eta=cfg.opo.eta)
+        assert summary["locked"] is True
+        assert summary["residual_rms"] == expected.residual_rms > quiet.residual_rms
+        _, cols = read_csv(str(out / "lock_trajectory.csv"))
+        stride = max(1, len(expected.time) // 4000)
+        assert cols["phibar"].tolist() == [
+            float(f"{v:.12e}") for v in expected.phibar[::stride]]
+
     def test_artifacts_honour_umask(self, tmp_path):
         out = tmp_path / "out"
         old = os.umask(0o022)
@@ -280,6 +304,17 @@ class TestExitCodes:
         ("correlation", "[opo]\nepsilon = 0.3\n[heterodyne]\namplitude = 1e200\n",
          "[heterodyne] amplitude"),
         ("lock", "[lock]\namplitude = 1e200\n", "[lock] amplitude"),
+        ("spectrum", "[nosuch]\nkey = 1\n", "unknown config section [nosuch]"),
+        # a file configparser cannot read names itself on one line
+        ("spectrum", "[opo]\ngamma = 1\ngamma = 2\n", "exp.ini: "),
+        ("spectrum", "[opo]\ngamma = 1\n[opo]\neta = 1\n", "exp.ini: "),
+        ("spectrum", "gamma = 1\n", "exp.ini: "),
+        ("spectrum", "[opo]\ngarbage\n", "exp.ini: "),
+        ("spectrum", b"[opo]\ngamma = \xff\n", "exp.ini: "),
+        # values are literal: no %(name)s interpolation
+        ("spectrum", "[opo]\ngamma = 1%\n", "[opo] gamma: cannot parse '1%'"),
+        ("spectrum", "[opo]\ngamma = %(nothing)s\n",
+         "[opo] gamma: cannot parse '%(nothing)s'"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "beta_removed", "sample_rate", "correlation_omega_zero",
@@ -290,10 +325,12 @@ class TestExitCodes:
             "overlay_seeds_negative", "theta_inaccurate_series",
             "lock_duration_below_dt", "iota_max_negative", "iota_max_zero",
             "iota_max_spectrum", "correlation_window_overflow", "iota_max_overflow",
-            "amplitude_power_overflow", "lock_amplitude_power_overflow"])
+            "amplitude_power_overflow", "lock_amplitude_power_overflow",
+            "unknown_section", "duplicate_key", "duplicate_section", "no_section_header",
+            "unparsable_line", "not_utf8", "percent_sign", "percent_reference"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
-        conf.write_text(ini)
+        conf.write_bytes(ini if isinstance(ini, bytes) else ini.encode())
         assert run_cli(*mode.split(), "--config", str(conf),
                        "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
@@ -301,16 +338,30 @@ class TestExitCodes:
         assert where in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key", [
+        ("opo", "gamma"), ("heterodyne", "phi1"), ("montecarlo", "segment_length"),
+        ("lock", "omega_prime"), ("lock", "omega"), ("lock", "phibar0"),
+    ])
+    def test_unparsable_value_reported_once(self, tmp_path, capsys, section, key):
+        # the failed value is not passed on to the constructor that would refuse it again
+        conf = tmp_path / "exp.ini"
+        conf.write_text(f"[{section}]\n{key} = text\n")
+        assert run_cli("lock", "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"config error: [{section}] {key}: cannot parse 'text'\n"
+
     @pytest.mark.parametrize("mode, ini", [
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 20\n"
                         "points = 21\n"),
         ("spectrum", "[heterodyne]\nomega = 30\n[montecarlo]\nsegments = 8\n"
                      "[correlation]\naveraging_periods = 10\n"),
         ("figure3", "[opo]\ngamma = 12\n[montecarlo]\nsegments = 8\n"),
-    ], ids=["averaging_periods_20", "spectrum_ignores_mc_rules", "figure3_no_overlay"])
+        ("spectrum", "[run]\nout = a%b\n"),
+    ], ids=["averaging_periods_20", "spectrum_ignores_mc_rules", "figure3_no_overlay",
+            "percent_is_literal"])
     def test_load_time_rules_admit(self, tmp_path, mode, ini):
         # ten beat periods exactly is enough; the Monte-Carlo and averaging
-        # rules bind only the modes that run those stages
+        # rules bind only the modes that run those stages; a % in a value is
+        # literal, even in a [run] out that --out overrides
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
         assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 0

@@ -193,6 +193,14 @@ class TestOpoFieldState:
         with pytest.raises(ThresholdDivergence):
             bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.5))
 
+    def test_no_pump_gives_zero_kernels(self):
+        # epsilon = 0 scales both kernels, and so the correlation, to exact zero
+        state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.0))
+        tau = np.linspace(-5.0, 5.0, 21)
+        assert np.all(state.gamma11(tau) == 0.0) and np.all(state.gamma20(tau) == 0.0)
+        cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.3, phi2=0.7)
+        assert np.all(bh.lambda_prime(state, cfg, tau) == 0.0)
+
     def test_flux_nonnegative(self):
         state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.49))
         assert np.real(state.gamma11(0.0)) >= 0.0
