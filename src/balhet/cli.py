@@ -125,17 +125,16 @@ def _check(errors, where, check, *args, **kwargs):
         errors.append(f"{where} {exc}")
 
 
-def load_config(path: str | None = None, *, mode: str | None = None,
-                seed: int | None = None, out: str | None = None) -> ExperimentConfig:
-    """Parse and validate an INI config, applying CLI overrides."""
+def load_config(path: str | None, *, mode: str, seed: int | None = None,
+                out: str | None = None) -> ExperimentConfig:
+    """Parse and validate an INI config for ``mode``, applying CLI overrides."""
     parser = _parser_with_defaults(path)
     errors: list[str] = []
     f = lambda s, k, rule=None: _get(parser, s, k, float, errors, rule)
     i = lambda s, k, rule=None: _get(parser, s, k, int, errors, rule)
 
-    eff_mode = mode or parser.get("run", "mode")
-    if eff_mode not in RUNNERS:
-        errors.append(f"[run] mode must be one of {tuple(RUNNERS)}, got {eff_mode!r}")
+    if mode not in RUNNERS:
+        errors.append(f"mode must be one of {tuple(RUNNERS)}, got {mode!r}")
     eff_seed = seed if seed is not None else i("run", "seed")
     if eff_seed is not None and eff_seed < 0:
         errors.append(f"[run] seed: must be non-negative, got {eff_seed}")
@@ -157,19 +156,19 @@ def load_config(path: str | None = None, *, mode: str | None = None,
     mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
     overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
     mc_segments = i("montecarlo", "segments")
-    if eff_mode == "montecarlo" or (eff_mode == "figure3" and (overlay_seeds or 0) > 0):
+    if mode == "montecarlo" or (mode == "figure3" and (overlay_seeds or 0) > 0):
         if welch and mc_segments is not None:
             _check(errors, "[montecarlo]", welch.total_samples, mc_segments)
-        if mc_sample_rate and het and eff_mode == "montecarlo":
+        if mc_sample_rate and het and mode == "montecarlo":
             _check(errors, "[heterodyne] omega:", check_alias, het.Omega, mc_sample_rate)
         top = max(FIGURE3_RATIOS.values())
-        if mc_sample_rate and opo and eff_mode == "figure3":
+        if mc_sample_rate and opo and mode == "figure3":
             _check(errors, f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
                    mc_sample_rate)
     correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
     correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
     correlation_periods = f("correlation", "averaging_periods")
-    if eff_mode == "correlation" and het and correlation_periods is not None:
+    if mode == "correlation" and het and correlation_periods is not None:
         try:
             check_averaging(het.Omega, correlation_periods, correlation_iota_max or 0.0)
         except ValueError as exc:
@@ -202,11 +201,11 @@ def load_config(path: str | None = None, *, mode: str | None = None,
         raise ConfigInvalid("; ".join(errors))
 
     snapshot = {s: dict(parser[s]) for s in parser.sections()}
-    snapshot["run"]["mode"] = eff_mode
+    snapshot["run"]["mode"] = mode
     snapshot["run"]["seed"] = str(eff_seed)
 
     return ExperimentConfig(
-        mode=eff_mode, seed=eff_seed, out=eff_out, opo=opo, heterodyne=het,
+        mode=mode, seed=eff_seed, out=eff_out, opo=opo, heterodyne=het,
         grid_omega_max=grid_omega_max, grid_points=grid_points,
         welch=welch, mc_sample_rate=mc_sample_rate,
         mc_segments=mc_segments, overlay_seeds=overlay_seeds,

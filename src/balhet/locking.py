@@ -228,10 +228,7 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
         base = eta * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
         beat = mean_conj * c0
         ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
-        if lock.disturbance is not None:
-            disturb = np.asarray(lock.disturbance(t), dtype=float) * np.ones_like(t)
-        else:
-            disturb = np.zeros_like(t)
+        disturb = np.asarray((lock.disturbance or np.zeros_like)(t), float) * np.ones_like(t)
         phibar_b = []
         error_b = []
         for b, br, bi, r, d in zip(base.tolist(), beat.real.tolist(),

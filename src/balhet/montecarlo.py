@@ -12,7 +12,7 @@ unambiguous: a unit-variance white input always estimates to PSD 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,10 +53,10 @@ class TimeSeries:
 class WelchConfig:
     """Averaged-periodogram settings."""
 
-    segment_length: int = 4096
-    overlap: float = 0.5
-    window: str = "hann"
-    n_segments_min: int = 8
+    segment_length: int
+    overlap: float
+    window: str
+    n_segments_min: int
 
     def __post_init__(self):
         if self.segment_length < 8:
@@ -152,6 +152,9 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
         raise NonPhysicalSpectrum(
             f"target PSD reaches {np.min(s)} on the synthesis grid"
         )
+    if not float(np.max(s)) * m < np.inf:  # gain sqrt(m s / 2) overflows; float() avoids a warning
+        raise NonPhysicalSpectrum(f"target PSD reaches {np.max(s)} on the synthesis grid, "
+                                  f"too large for a {m}-point synthesis")
     np.clip(s, 0.0, None, out=s)
     last = None  # free the old series before allocating the new one
 
@@ -205,7 +208,7 @@ def _beat(x: TimeSeries, Omega: float, dphi: float):
     return beat
 
 
-def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float = 0.0) -> TimeSeries:
+def synthesize_photocurrent(x: TimeSeries, Omega: float, dphi: float) -> TimeSeries:
     """Apply the heterodyne beat: y(t) = sqrt(2) cos(Omega t + dphi) x(t).
 
     The sqrt(2) gain makes the modulation floor-preserving: the time
@@ -240,7 +243,7 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     inf is refused, since it would turn the whole estimate into NaN.
     ``beat=(Omega, dphi)`` estimates synthesize_photocurrent's series bit for bit, batch by batch.
     """
-    beaten = None if beat is None else _beat(y, *beat)
+    source = (lambda lo, hi: y.samples[lo:hi]) if beat is None else _beat(y, *beat)
     if not np.isfinite(y.samples).all():
         raise ValueError("series has non-finite samples")
     n = len(y.samples)
@@ -255,15 +258,12 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     win = _window(cfg)
     norm = m * float(np.mean(win ** 2))
     acc = np.zeros(m // 2 + 1)
-    all_segments = np.lib.stride_tricks.sliding_window_view(y.samples, m)[::step][:n_segments]
     batch = max(1, _BATCH_SAMPLES // m)
-    for k in range(0, n_segments, batch):
-        segments = all_segments[k:k + batch]
-        if beaten is not None:  # beat this batch's samples and take its rows from them
-            part = beaten(k * step, (k + len(segments) - 1) * step + m)
-            if not np.isfinite(part).all():
-                raise ValueError("series has non-finite samples")  # the beat overflowed
-            segments = np.lib.stride_tricks.sliding_window_view(part, m)[::step]
+    for k in range(0, n_segments, batch):  # take each batch's rows from its samples
+        part = source(k * step, (min(k + batch, n_segments) - 1) * step + m)
+        if not np.isfinite(part).all():
+            raise ValueError("series has non-finite samples")  # the beat overflowed
+        segments = np.lib.stride_tricks.sliding_window_view(part, m)[::step]
         # rows are added one at a time, in segment order, as a per-segment
         # loop would: the estimate does not depend on the batch size
         for row in np.abs(np.fft.rfft(win * segments)) ** 2:
@@ -306,9 +306,6 @@ def monte_carlo_heterodyne(params: OpoParams, cfg: HeterodyneConfig, fs: float,
     n = welch.total_samples(n_segments)
     x = synthesize_quadrature(s, n, fs, seed)
     out = welch_psd(x, welch, normalization=HETERODYNE_FLOOR, beat=(cfg.Omega, cfg.dphi))
-    snapshot = dict(out.config_snapshot)
-    snapshot.update({"gamma": params.gamma, "epsilon": params.epsilon,
-                     "eta": params.eta, "Omega": cfg.Omega,
-                     "phibar": cfg.phibar, "dphi": cfg.dphi})
-    return SpectralDensity(out.omega_grid, out.chi_normalized, out.normalization,
-                           snapshot, sigma=out.sigma)
+    return replace(out, config_snapshot={
+        **out.config_snapshot, "gamma": params.gamma, "epsilon": params.epsilon,
+        "eta": params.eta, "Omega": cfg.Omega, "phibar": cfg.phibar, "dphi": cfg.dphi})

@@ -20,6 +20,12 @@ from balhet.serialize import write_table_csv
 
 
 HUGE_SOURCE = "[opo]\ngamma = 1e300\nepsilon = 0.3e300\n"
+# just below threshold at a tiny gamma: km^2 underflows, so the anti-squeezed
+# quadrature's PSD is +inf at zero frequency
+NEAR_THRESHOLD = {("opo", "gamma"): 1e-150, ("opo", "epsilon"): 4.9999999999999994e-151,
+                  ("heterodyne", "phi1"): math.pi / 2, ("heterodyne", "phi2"): math.pi / 2}
+NEAR_THRESHOLD_INI = ("[opo]\ngamma = 1e-150\nepsilon = 4.9999999999999994e-151\n"
+                      "[heterodyne]\nphi1 = 1.5707963267948966\nphi2 = 1.5707963267948966\n")
 
 
 def run_cli(*args):
@@ -57,19 +63,19 @@ class TestConfigLoading:
 
     def test_missing_file(self):
         with pytest.raises(ConfigInvalid):
-            load_config("/nonexistent/exp.ini")
+            load_config("/nonexistent/exp.ini", mode="spectrum")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[opo]\ngamm = 2.0\n")
         with pytest.raises(ConfigInvalid, match="gamm"):
-            load_config(str(path))
+            load_config(str(path), mode="spectrum")
 
     def test_field_level_diagnostics(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[opo]\nepsilon = 0.9\n")  # above threshold
         with pytest.raises(ConfigInvalid, match=r"\[opo\]"):
-            load_config(str(path))
+            load_config(str(path), mode="spectrum")
 
     def test_seed_override(self):
         cfg = load_config(None, mode="spectrum", seed=777)
@@ -315,6 +321,8 @@ class TestExitCodes:
         ("spectrum", "[opo]\ngamma = 1%\n", "[opo] gamma: cannot parse '1%'"),
         ("spectrum", "[opo]\ngamma = %(nothing)s\n",
          "[opo] gamma: cannot parse '%(nothing)s'"),
+        # the subcommand names the mode; a config cannot contradict it
+        ("spectrum", "[run]\nmode = lock\n", "unknown key 'mode' in section [run]"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "beta_removed", "sample_rate", "correlation_omega_zero",
@@ -327,7 +335,8 @@ class TestExitCodes:
             "iota_max_spectrum", "correlation_window_overflow", "iota_max_overflow",
             "amplitude_power_overflow", "lock_amplitude_power_overflow",
             "unknown_section", "duplicate_key", "duplicate_section", "no_section_header",
-            "unparsable_line", "not_utf8", "percent_sign", "percent_reference"])
+            "unparsable_line", "not_utf8", "percent_sign", "percent_reference",
+            "run_mode_removed"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_bytes(ini if isinstance(ini, bytes) else ini.encode())
@@ -415,7 +424,9 @@ class TestExitCodes:
                        "segment_length = 64\nn_segments_min = 8\n", 3),
         ("figure3", "[opo]\ngamma = 1e300\n", 0),
         ("spectrum", "[heterodyne]\nomega = 1e200\n", 0),
-    ], ids=["spectrum", "figure3", "correlation", "montecarlo", "figure3_gamma", "spectrum_omega"])
+        ("montecarlo", NEAR_THRESHOLD_INI, 3),
+    ], ids=["spectrum", "figure3", "correlation", "montecarlo", "figure3_gamma", "spectrum_omega",
+            "montecarlo_near_threshold"])
     def test_extreme_magnitudes_stay_quiet(self, tmp_path, capsys, mode, ini, code):
         # each run overflows on the way; no numpy warning may reach stderr
         conf = tmp_path / "exp.ini"
@@ -633,6 +644,10 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 # a subnormal offset once made the averaging window infinite (traceback)
 @example(mode="correlation", svg=False, seed=0,
          values={**_SMALL, ("opo", "epsilon"): 0.3, ("heterodyne", "omega"): 5e-324},
+         extreme=None)
+# an infinite target PSD once reached welch_psd as NaN samples (traceback); one
+# extreme key cannot put gamma and epsilon both at this magnitude
+@example(mode="montecarlo", svg=False, seed=0, values={**_SMALL, **NEAR_THRESHOLD},
          extreme=None)
 def test_every_mode_runs_or_refuses(tmp_path, capsys, mode, svg, seed, values, extreme):
     # run, not only load: finite artifacts and a quiet stderr, or a config

@@ -231,6 +231,16 @@ class TestSynthesisSlices:
             bh.synthesize_quadrature(psd, n, self.FS, seed=0)
         assert irfft_calls == []
 
+    # an inf bin, or a finite one whose gain sqrt(m s / 2) overflows, once became NaN samples
+    @pytest.mark.parametrize("value", [np.inf, 1e308], ids=["inf", "gain_overflow"])
+    def test_unsynthesizable_value_refused(self, irfft_calls, value):
+        n = 300_000
+        bad = 2.0 * np.pi * np.fft.rfftfreq(montecarlo._fast_length(n), d=1.0 / self.FS)[7]
+        psd = lambda w: np.where(np.asarray(w) == bad, value, 1.0)
+        with pytest.raises(NonPhysicalSpectrum, match="too large"):
+            bh.synthesize_quadrature(psd, n, self.FS, seed=0)
+        assert irfft_calls == []
+
 
 class TestSynthesisMemory:
     def test_peak_within_bound(self, monkeypatch):
