@@ -299,8 +299,9 @@ def run_lock(cfg: ExperimentConfig) -> tuple[list, list]:
 def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
     """Reproduce the four noise-reduction panels; its SVG is an artifact.
 
-    Panels a-c: heterodyne with offset/damping ratios 0.05, 0.5, 5 via the
-    closed-form split Lorentzians; panel d: homodyne with the same source.
+    Panels a-c: heterodyne with offset/damping ratios 0.05, 0.5, 5 at the
+    amplitude-quadrature lock, through ``heterodyne_spectrum``; panel d:
+    homodyne with the same source.
     Monte-Carlo points overlay the curves when overlay_seeds > 0.
     """
     gamma = cfg.opo.gamma

@@ -209,7 +209,8 @@ def opo_field_state(params: OpoParams) -> GaussianFieldState:
 
     with kp = gamma/2 + eps and km = gamma/2 - eps.  Requires a pump
     strictly below threshold (km > 0); at threshold the anti-squeezed
-    kernel has no stationary limit.
+    kernel has no stationary limit.  A km so small that 1/km overflows
+    is refused the same way.
     """
     gamma, eps, eta = params.gamma, params.epsilon, params.eta
     kp = gamma / 2.0 + eps
@@ -217,6 +218,11 @@ def opo_field_state(params: OpoParams) -> GaussianFieldState:
     if km <= 0.0:
         raise ThresholdDivergence(
             "time-domain kernels require a pump strictly below threshold"
+        )
+    if not 1.0 / km < np.inf:
+        raise ThresholdDivergence(
+            f"gamma = {gamma} and epsilon = {eps} give a kernel decay rate "
+            f"gamma/2 - epsilon = {km} whose inverse overflows"
         )
     scale = eps * gamma / (4.0 * eta)
 

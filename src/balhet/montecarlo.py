@@ -261,7 +261,7 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     batch = max(1, _BATCH_SAMPLES // m)
     for k in range(0, n_segments, batch):  # take each batch's rows from its samples
         part = source(k * step, (min(k + batch, n_segments) - 1) * step + m)
-        if not np.isfinite(part).all():
+        if beat is not None and not np.isfinite(part).all():
             raise ValueError("series has non-finite samples")  # the beat overflowed
         segments = np.lib.stride_tricks.sliding_window_view(part, m)[::step]
         # rows are added one at a time, in segment order, as a per-segment

@@ -8,12 +8,12 @@ and the detector response drops out of every plotted quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonPhysicalSpectrum
-from .field import HeterodyneConfig, OpoParams, QuadratureSpectra
+from .field import HeterodyneConfig, OpoParams, QuadratureSpectra, opo_spectra
 
 # Frequency bins more negative than this are treated as a physicality
 # violation of the input spectra rather than rounding noise.
@@ -135,25 +135,13 @@ def homodyne_spectrum(spectra: QuadratureSpectra, phibar: float, eta: float,
 
 def opo_heterodyne_closed_form(params: OpoParams, Omega: float,
                                omega_grid) -> SpectralDensity:
-    """Closed-form heterodyne spectrum of the parametric-oscillator source.
+    """Heterodyne spectrum of the parametric-oscillator source at phibar = 0.
 
-    For the amplitude-quadrature lock (phibar = 0) the normalized spectrum
-    is a pair of squeezing Lorentzians split by the heterodyne offset:
-
-        chi(w) = 1 - eps gamma / ((gamma/2 + eps)^2 + (w + Omega)^2)
-                   - eps gamma / ((gamma/2 + eps)^2 + (w - Omega)^2)
-
-    The detector efficiency cancels between the spectrum and the floor.
+    The amplitude-quadrature lock of the paper's figure 3: the engine's
+    half-sum of ``opo_spectra`` shifted by +/-Omega, which is a pair of
+    squeezing Lorentzians split by the heterodyne offset.
     """
-    if Omega < 0:
-        raise ValueError(f"Omega must be >= 0, got {Omega}")
-    omega = np.asarray(omega_grid, dtype=float)
-    kp = params.gamma / 2.0 + params.epsilon
-    num = params.epsilon * params.gamma
-    chi = (1.0
-           - num / (kp * kp + (omega + Omega) ** 2)
-           - num / (kp * kp + (omega - Omega) ** 2))
-    _check_physical(chi)
-    snapshot = {"gamma": params.gamma, "epsilon": params.epsilon,
-                "eta": params.eta, "Omega": Omega, "phibar": 0.0}
-    return SpectralDensity(omega, chi, HETERODYNE_FLOOR, snapshot)
+    sd = heterodyne_spectrum(opo_spectra(params), HeterodyneConfig(Omega=Omega),
+                             params.eta, omega_grid)
+    return replace(sd, config_snapshot={**sd.config_snapshot, "gamma": params.gamma,
+                                        "epsilon": params.epsilon})

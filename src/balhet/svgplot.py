@@ -24,9 +24,9 @@ class Panel:
 
 
 def _nice_ticks(lo: float, hi: float):
-    if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
-        return [lo]
     raw = (hi - lo) / 5
+    if not 0.0 < raw < math.inf:  # also an empty, non-finite or underflowing (1e-323) span
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

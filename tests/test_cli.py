@@ -213,6 +213,19 @@ class TestArtifacts:
         assert d["chi_normalized"][j] == 0.0
         assert (out / "figure3.svg").exists()
 
+    def test_figure3_metadata(self, tmp_path):
+        # panels a-c carry the engine's snapshot plus the source's gamma and epsilon
+        out = tmp_path / "out"
+        assert run_cli("figure3", "--out", str(out)) == 0
+        a, _ = read_csv(str(out / "figure3_a.csv"))
+        d, _ = read_csv(str(out / "figure3_d.csv"))
+        common = {"tool", "config_hash", "normalization", "eta", "phibar"}
+        assert set(a) == common | {"gamma", "epsilon", "Omega", "amplitude", "dphi"}
+        assert (a["Omega"], a["phibar"], a["dphi"], a["amplitude"]) == ("0.05", "0.0", "0.0", "1.0")
+        assert (a["gamma"], a["epsilon"], a["eta"]) == ("1.0", "0.5", "1.0")
+        assert a["normalization"] == "heterodyne_floor"
+        assert set(d) == common and d["normalization"] == "homodyne_floor"
+
     def test_figure3_with_overlay(self, tmp_path):
         out = tmp_path / "out"
         cfgfile = tmp_path / "exp.ini"
@@ -415,6 +428,17 @@ class TestExitCodes:
         assert code == 3
         # one line and no traceback
         assert capsys.readouterr().err == f"error: column {column} is not finite\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("epsilon", ["0", "1e-310"])
+    def test_overflowing_kernel_rate_is_three(self, tmp_path, capsys, epsilon):
+        # 1/(gamma/2 - epsilon) overflows; this once read "column lambda_prime is not finite"
+        conf = tmp_path / "exp.ini"
+        conf.write_text(f"[opo]\ngamma = 1e-309\nepsilon = {epsilon}\n")
+        assert run_cli("correlation", "--config", str(conf), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gamma" in err and "epsilon" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mode, ini, code", [
@@ -637,6 +661,9 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 # a y span below the float spacing once looped the SVG tick generator forever
 @example(mode="spectrum", svg=True, seed=0, values={**_SMALL, ("opo", "epsilon"): 1e-17},
          extreme=None)
+# an x span of 2e-323 once underflowed the SVG tick step to 0 (traceback)
+@example(mode="spectrum", svg=True, seed=0, values=_SMALL,
+         extreme=(("grid", "omega_max"), 5e-324))
 # a one-step lock trajectory once divided by its zero time span in the SVG
 @example(mode="lock", svg=True, seed=0,
          values={**_SMALL, ("lock", "duration"): 2.0 ** -15, ("lock", "phibar0"): 0.0},

@@ -192,6 +192,9 @@ class TestOpoFieldState:
     def test_threshold_rejected(self):
         with pytest.raises(ThresholdDivergence):
             bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.5))
+        # below threshold, but 1/(gamma/2 - epsilon) overflows a float
+        with pytest.raises(ThresholdDivergence, match="gamma = 1e-309 and epsilon"):
+            bh.opo_field_state(bh.OpoParams(gamma=1e-309, epsilon=0.0))
 
     def test_no_pump_gives_zero_kernels(self):
         # epsilon = 0 scales both kernels, and so the correlation, to exact zero
