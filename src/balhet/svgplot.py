@@ -25,9 +25,11 @@ class Panel:
 
 def _nice_ticks(lo: float, hi: float):
     raw = (hi - lo) / 5
-    if not 0.0 < raw < math.inf:  # also an empty, non-finite or underflowing (1e-323) span
+    if not 0.0 < raw < math.inf:  # also an empty, non-finite or underflowing (5e-324) span
         return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
+    if mag == 0.0:  # a span of a few subnormals: its decade 1e-324 underflows
+        return [lo]
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if raw <= step:

@@ -661,9 +661,11 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 # a y span below the float spacing once looped the SVG tick generator forever
 @example(mode="spectrum", svg=True, seed=0, values={**_SMALL, ("opo", "epsilon"): 1e-17},
          extreme=None)
-# an x span of 2e-323 once underflowed the SVG tick step to 0 (traceback)
+# x spans of 1e-323 and 2e-323 once underflowed the SVG tick step to 0 (traceback)
 @example(mode="spectrum", svg=True, seed=0, values=_SMALL,
          extreme=(("grid", "omega_max"), 5e-324))
+@example(mode="spectrum", svg=True, seed=0, values=_SMALL,
+         extreme=(("grid", "omega_max"), 1e-323))
 # a one-step lock trajectory once divided by its zero time span in the SVG
 @example(mode="lock", svg=True, seed=0,
          values={**_SMALL, ("lock", "duration"): 2.0 ** -15, ("lock", "phibar0"): 0.0},
