@@ -30,7 +30,7 @@ from . import __version__
 from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature_form,
                           time_average_reduce)
 from .errors import BalhetError, ConfigInvalid, InsufficientAveraging
-from .field import HeterodyneConfig, OpoParams, coherent_state, opo_field_state, opo_spectra
+from .field import HeterodyneConfig, OpoParams, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate, validate_lock
 from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
                          monte_carlo_homodyne)
@@ -262,14 +262,14 @@ def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
-    state = opo_field_state(cfg.opo)
+    kernels = opo_field_state(cfg.opo)
     het = cfg.heterodyne
     tau = np.linspace(-cfg.correlation_iota_max, cfg.correlation_iota_max,
                       cfg.correlation_points)
-    closed = lambda_prime(state, het, tau)
-    quad_form = lambda_prime_quadrature_form(state, het, tau)
+    closed = lambda_prime(kernels, het, tau)
+    quad_form = lambda_prime_quadrature_form(kernels, het, tau)
     T = cfg.correlation_periods * math.pi / het.Omega
-    averaged = np.array([time_average_reduce(state, het, x, T) for x in tau])
+    averaged = np.array([time_average_reduce(kernels, het, x, T) for x in tau])
     columns = {"tau": tau, "lambda_prime": closed,
                "lambda_prime_quadrature": quad_form, "time_average": averaged}
     meta = {"config_hash": cfg.hash, "averaging_time": T}
@@ -279,8 +279,7 @@ def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def run_lock(cfg: ExperimentConfig) -> tuple[list, list]:
-    state = coherent_state(cfg.lock_mean)
-    trajectory = closed_loop_simulate(state, cfg.lock_heterodyne, cfg.lock,
+    trajectory = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne, cfg.lock,
                                       eta=cfg.opo.eta)
     stride = max(1, len(trajectory.time) // 4000)
     t = trajectory.time[::stride]

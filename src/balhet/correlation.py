@@ -2,8 +2,9 @@
 
 The correlation ``lambda(t, iota)`` of the intensity fluctuations keeps
 only the terms quadratic in the oscillator amplitude (the strong-oscillator
-result the spectral engine uses).  Every function here evaluates it
-through the one real kernel of the measured quadrature.
+result the spectral engine uses).  Every function here takes the
+source's ``QuadratureKernels`` and evaluates the correlation through the
+one real kernel of the measured quadrature, ``measured_quadrature``'s mix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InsufficientAveraging
-from .field import GaussianFieldState, HeterodyneConfig, gammas_to_quadrature_correlations
+from .field import HeterodyneConfig, QuadratureKernels, measured_quadrature
 
 # Samples per beat period used by the time-average quadrature.
 _STEPS_PER_PERIOD = 50
@@ -20,13 +21,13 @@ _STEPS_PER_PERIOD = 50
 MIN_BEAT_PERIODS = 10
 
 
-def _quadrature_kernel(state: GaussianFieldState, cfg: HeterodyneConfig, iota):
-    """Measured-quadrature kernel k(iota) = 2 Re[g11(iota) + g20(iota) e^{i(phi1+phi2)}]."""
-    phase = np.exp(1j * (cfg.phi1 + cfg.phi2))
-    return 2.0 * np.real(state.gamma11(iota) + state.gamma20(iota) * phase)
+def _measured_kernel(kernels: QuadratureKernels, cfg: HeterodyneConfig):
+    """Measured-quadrature kernel k11 cos^2 + k22 sin^2 + (k12 + k21) sin cos at phibar."""
+    return measured_quadrature(kernels.k11, kernels.k22,
+                               lambda tau: kernels.k12(tau) + kernels.k21(tau), cfg.phibar)
 
 
-def intensity_correlation(state: GaussianFieldState, cfg: HeterodyneConfig,
+def intensity_correlation(kernels: QuadratureKernels, cfg: HeterodyneConfig,
                           t, iota):
     """Strong-oscillator intensity-fluctuation correlation lambda(t, iota).
 
@@ -37,42 +38,42 @@ def intensity_correlation(state: GaussianFieldState, cfg: HeterodyneConfig,
         lambda = 4 E^2 cos(Wt + dphi) cos(W(t+i) + dphi) k(i)
                = 2 E^2 k(i) [cos(W i) + cos(W(2t+i) + 2 dphi)]
 
-    with the real kernel k of ``_quadrature_kernel``, evaluated once.
+    with the real kernel k of ``_measured_kernel``, evaluated once.
     """
     t = np.asarray(t, dtype=float)
     iota = np.asarray(iota, dtype=float)
     W = cfg.Omega
     beat = np.cos(W * iota) + np.cos(W * (2.0 * t + iota) + 2.0 * cfg.dphi)
-    return 2.0 * cfg.amplitude ** 2 * _quadrature_kernel(state, cfg, iota) * beat
+    return 2.0 * cfg.amplitude ** 2 * _measured_kernel(kernels, cfg)(iota) * beat
 
 
-def lambda_prime(state: GaussianFieldState, cfg: HeterodyneConfig, tau):
+def lambda_prime(kernels: QuadratureKernels, cfg: HeterodyneConfig, tau):
     """Time-averaged intensity correlation, closed form.
 
-    lambda'(tau) = 2 E^2 cos(W tau) { g11(tau) + g20(tau) e^{i(phi1+phi2)} + c.c. }
+    lambda'(tau) = 2 E^2 cos(W tau) {k11 cos^2 phibar + k22 sin^2 phibar
+                                     + (k12 + k21) sin phibar cos phibar}
     """
     tau = np.asarray(tau, dtype=float)
     return (2.0 * cfg.amplitude ** 2 * np.cos(cfg.Omega * tau)
-            * _quadrature_kernel(state, cfg, tau))
+            * _measured_kernel(kernels, cfg)(tau))
 
 
-def lambda_prime_quadrature_form(state: GaussianFieldState,
+def lambda_prime_quadrature_form(kernels: QuadratureKernels,
                                  cfg: HeterodyneConfig, tau):
-    """Time-averaged intensity correlation in the quadrature-kernel form.
+    """Time-averaged intensity correlation in the double-angle form.
 
     lambda'(tau) = E^2 cos(W tau) { k11 (1 + cos 2 phibar)
                                     + k22 (1 - cos 2 phibar)
                                     + (k12 + k21) sin 2 phibar }
 
-    Equals ``lambda_prime`` identically; evaluating both exercises the
-    kernel conversion end to end.
+    Equals ``lambda_prime`` identically; it evaluates every branch, so
+    comparing the two checks the measured-quadrature mix.
     """
     tau = np.asarray(tau, dtype=float)
-    k = gammas_to_quadrature_correlations(state)
     c2p = np.cos(2.0 * cfg.phibar)
     s2p = np.sin(2.0 * cfg.phibar)
-    combo = (k.k11(tau) * (1.0 + c2p) + k.k22(tau) * (1.0 - c2p)
-             + (k.k12(tau) + k.k21(tau)) * s2p)
+    combo = (kernels.k11(tau) * (1.0 + c2p) + kernels.k22(tau) * (1.0 - c2p)
+             + (kernels.k12(tau) + kernels.k21(tau)) * s2p)
     return cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * combo
 
 
@@ -93,7 +94,7 @@ def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> 
                                     f"overflows the beat phase at omega = {Omega}")
 
 
-def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
+def time_average_reduce(kernels: QuadratureKernels, cfg: HeterodyneConfig,
                         iota: float, T: float) -> float:
     """Average lambda(t, iota) over t in [0, T]; ``lambda_prime`` is its limit.
 
@@ -107,6 +108,6 @@ def time_average_reduce(state: GaussianFieldState, cfg: HeterodyneConfig,
     period = 2.0 * np.pi / cfg.Omega
     n = int(np.ceil(T / (period / _STEPS_PER_PERIOD)))
     t = np.linspace(0.0, T, n + 1)
-    values = intensity_correlation(state, cfg, t, iota)
+    values = intensity_correlation(kernels, cfg, t, iota)
     return float(np.trapezoid(values, t) / T)
 

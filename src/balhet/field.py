@@ -4,19 +4,20 @@ Conventions used throughout the package:
 
 * The optical carrier is factored out everywhere (rotating frame).  A
   detected mode is described by its mean amplitude ``<a>`` plus the
-  stationary Gaussian fluctuation kernels
+  stationary Gaussian correlation kernels of its two quadratures,
+  X = da + da+ and P = -i (da - da+),
 
-      g11(tau) = <da+(t) da(t+tau)>     (phase-insensitive, Hermitian)
-      g20(tau) = <da+(t) da+(t+tau)>    (phase-sensitive, even in tau)
+      k11(tau) = <:X(t) X(t+tau):>     k22(tau) = <:P(t) P(t+tau):>
+      k12(tau) = <:X(t) P(t+tau):>     k21(tau) = <:P(t) X(t+tau):>
 
-  in photon-flux units.  ``da`` denotes the zero-mean fluctuation part of
-  the mode operator, ``da+`` its conjugate.
+  in photon-flux units, normally ordered; ``da`` is the zero-mean
+  fluctuation part of the mode operator and ``da+`` its conjugate.
 * Spectra are two-sided in angular frequency and use the transform
   ``integral dtau f(tau) exp(+i w tau)``.
-* Every phase is measured from the source's squeezing axis, where
-  ``g20`` is real and negative.  ``phibar = (phi1 + phi2)/2`` selects the
-  measured quadrature and ``dphi = (phi2 - phi1)/2`` sets the beat phase
-  of the heterodyne signal.
+* Every phase is measured from the source's squeezing axis, where ``k11``
+  is the squeezed and ``k22`` the anti-squeezed kernel.  ``phibar =
+  (phi1 + phi2)/2`` selects the measured quadrature X cos(phibar) +
+  P sin(phibar) and ``dphi = (phi2 - phi1)/2`` sets the heterodyne beat phase.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class OpoParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.epsilon <= self.gamma / 2.0:
             raise ValueError(
                 f"epsilon must lie in [0, gamma/2] = [0, {self.gamma / 2.0}], "
@@ -102,27 +103,6 @@ class HeterodyneConfig:
 
 
 @dataclass(frozen=True)
-class GaussianFieldState:
-    """Gaussian state of the detected mode: mean amplitude plus kernels.
-
-    ``gamma11``/``gamma20`` are evaluable kernels of the time lag (seconds),
-    complex-valued, in photons/s.  ``gamma11`` must satisfy
-    ``gamma11(-tau) = conj(gamma11(tau))``; ``gamma20`` is even in tau for
-    the source models used here.
-    """
-
-    mean_amplitude: complex
-    gamma11: Callable
-    gamma20: Callable
-
-
-def coherent_state(mean_amplitude: complex) -> GaussianFieldState:
-    """Coherent state: nonzero mean, vanishing normally-ordered kernels."""
-    zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-    return GaussianFieldState(complex(mean_amplitude), zero, zero)
-
-
-@dataclass(frozen=True)
 class QuadratureSpectra:
     """Two-sided squeezing spectra of the quadrature fluctuations.
 
@@ -141,7 +121,9 @@ class QuadratureKernels:
     """Real correlation kernels of the two quadrature operators.
 
     ``k11``/``k22`` are the auto-correlations of the amplitude and phase
-    quadratures, ``k12``/``k21`` the cross terms, all functions of lag.
+    quadratures, ``k12``/``k21`` the cross terms, all functions of lag in
+    photons/s: the time-domain description of a source that the correlation
+    functions take.  ``opo_field_state`` gives the parametric oscillator's.
     """
 
     k11: Callable
@@ -150,14 +132,44 @@ class QuadratureKernels:
     k21: Callable
 
 
-def quadrature_mean_slope(state: GaussianFieldState, phibar: float) -> float:
+def quadrature_mean_slope(mean: complex, phibar: float) -> float:
     """Derivative with respect to phibar of the rotated quadrature's mean.
 
     With X = a + a+ and P its conjugate quadrature, X(phibar) = X cos(phibar)
     + P sin(phibar) has mean 2 Re<a> cos(phibar) + 2 Im<a> sin(phibar).
     """
-    m = complex(state.mean_amplitude)
+    m = complex(mean)
     return 2.0 * (-m.real * np.sin(phibar) + m.imag * np.cos(phibar))
+
+
+def _zero(x):
+    """A branch that vanishes at every frequency or lag."""
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def measured_quadrature(cos2: Callable, sin2: Callable, cross: Callable, phibar: float,
+                        *, floor: float = 0.0, gain: float = 1.0) -> Callable:
+    """The function floor + gain [cos2 cos^2 + sin2 sin^2 + cross sin cos](phibar).
+
+    The branches are the spectra (phi11, phi22, phi12 + phi21) or the
+    kernels (k11, k22, k12 + k21).  A branch of zero weight is never
+    evaluated, so the anti-squeezed branch of a source at threshold does
+    not poison an amplitude-quadrature measurement.  A cosine or sine
+    within half the float spacing at phibar of zero counts as zero: phibar
+    is then the float nearest a zero of it, so ``phibar = pi/2`` measures P.
+    """
+    half_ulp = np.spacing(abs(phibar)) / 2.0
+    c, s = (0.0 if abs(v) <= half_ulp else v for v in (np.cos(phibar), np.sin(phibar)))
+    terms = [(gain * w, f) for w, f in ((c ** 2, cos2), (s ** 2, sin2), (s * c, cross))
+             if w != 0.0]
+
+    def mixed(x):  # from the floor up, one branch at a time: every spectrum keeps its rounding
+        total = np.full(np.shape(x), float(floor))
+        for w, f in terms:
+            total = total + w * f(x)
+        return total
+
+    return mixed
 
 
 def opo_spectra(params: OpoParams) -> QuadratureSpectra:
@@ -193,24 +205,22 @@ def opo_spectra(params: OpoParams) -> QuadratureSpectra:
             )
         return (2.0 / eta) * eps * gamma / (km * km + w * w)
 
-    def cross(w):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    return QuadratureSpectra(phi11=phi11, phi22=phi22, phi12_plus_phi21=cross)
+    return QuadratureSpectra(phi11=phi11, phi22=phi22, phi12_plus_phi21=_zero)
 
 
-def opo_field_state(params: OpoParams) -> GaussianFieldState:
-    """Time-domain kernels of the parametric-oscillator output.
+def opo_field_state(params: OpoParams) -> QuadratureKernels:
+    """Time-domain quadrature kernels of the parametric-oscillator output.
 
-    Inverse transforms of the Lorentzian spectra:
+    Inverse transforms of the Lorentzian spectra of ``opo_spectra``:
 
-        g11(tau) = (eps gamma / 4 eta) [exp(-km|tau|)/km - exp(-kp|tau|)/kp]
-        g20(tau) = -(eps gamma / 4 eta) [exp(-km|tau|)/km + exp(-kp|tau|)/kp]
+        k11(tau) = -(eps gamma / eta) exp(-kp|tau|)/kp
+        k22(tau) = +(eps gamma / eta) exp(-km|tau|)/km
 
-    with kp = gamma/2 + eps and km = gamma/2 - eps.  Requires a pump
-    strictly below threshold (km > 0); at threshold the anti-squeezed
-    kernel has no stationary limit.  A km so small that 1/km overflows
-    is refused the same way.
+    with kp = gamma/2 + eps and km = gamma/2 - eps; the cross kernels
+    vanish.  The output has zero mean.  Requires a pump strictly below
+    threshold (km > 0); at threshold the anti-squeezed kernel has no
+    stationary limit.  A km so small that 1/km overflows is refused the
+    same way.
     """
     gamma, eps, eta = params.gamma, params.epsilon, params.eta
     kp = gamma / 2.0 + eps
@@ -224,41 +234,12 @@ def opo_field_state(params: OpoParams) -> GaussianFieldState:
             f"gamma = {gamma} and epsilon = {eps} give a kernel decay rate "
             f"gamma/2 - epsilon = {km} whose inverse overflows"
         )
-    scale = eps * gamma / (4.0 * eta)
-
-    def g11(tau):
-        at = np.abs(np.asarray(tau, dtype=float))
-        return scale * (np.exp(-km * at) / km - np.exp(-kp * at) / kp) + 0j
-
-    def g20(tau):
-        at = np.abs(np.asarray(tau, dtype=float))
-        return -scale * (np.exp(-km * at) / km + np.exp(-kp * at) / kp) + 0j
-
-    return GaussianFieldState(0j, g11, g20)
-
-
-def gammas_to_quadrature_correlations(state: GaussianFieldState) -> QuadratureKernels:
-    """Convert the complex field kernels to the four quadrature kernels.
-
-    Inverts the linear relations
-
-        Re g11 = (k11 + k22)/4
-        Im g11 = (k12 - k21)/4
-        Re g20 = (k11 - k22)/4
-        Im g20 = -(k12 + k21)/4
-    """
-    g11, g20 = state.gamma11, state.gamma20
+    scale = eps * gamma / eta
 
     def k11(tau):
-        return 2.0 * np.real(g11(tau)) + 2.0 * np.real(g20(tau))
+        return -scale * np.exp(-kp * np.abs(np.asarray(tau, dtype=float))) / kp
 
     def k22(tau):
-        return 2.0 * np.real(g11(tau)) - 2.0 * np.real(g20(tau))
+        return scale * np.exp(-km * np.abs(np.asarray(tau, dtype=float))) / km
 
-    def k12(tau):
-        return 2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
-
-    def k21(tau):
-        return -2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
-
-    return QuadratureKernels(k11=k11, k22=k22, k12=k12, k21=k21)
+    return QuadratureKernels(k11=k11, k22=k22, k12=_zero, k21=_zero)

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DemodClash, LockFailure
-from .field import GaussianFieldState, HeterodyneConfig, quadrature_mean_slope
+from .field import HeterodyneConfig, quadrature_mean_slope
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,7 +173,7 @@ def _lo_superposition_modulated(cfg: HeterodyneConfig, lock: LockConfig, t):
     return cfg.amplitude * (lo1 + lo2)
 
 
-def error_line_prediction(state: GaussianFieldState, cfg: HeterodyneConfig,
+def error_line_prediction(mean: complex, cfg: HeterodyneConfig,
                           lock: LockConfig, eta: float = 1.0) -> complex:
     """Analytic Fourier coefficient of the photocurrent at +(Omega - Omega').
 
@@ -185,12 +185,12 @@ def error_line_prediction(state: GaussianFieldState, cfg: HeterodyneConfig,
     """
     validate_lock(cfg, lock)
     j1 = bessel_truncation(lock.theta).j1
-    slope = quadrature_mean_slope(state, cfg.phibar)
+    slope = quadrature_mean_slope(mean, cfg.phibar)
     amp = -2.0 * eta * cfg.amplitude * j1 * slope
     return amp * np.exp(1j * cfg.dphi) / 2j
 
 
-def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
+def _demodulate(mean: complex, cfg: HeterodyneConfig,
                 lock: LockConfig, eta: float, n: int):
     """Mix, low-pass and PI-correct ``n`` steps of the phase lock.
 
@@ -211,7 +211,7 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
     # factor exp(i psi), so the beat against the mean field is b0 exp(i psi)
     # and 2 Re(b0 exp(i psi)) = 2 (br cos psi - bi sin psi), rounded as
     # complex multiplication rounds it.
-    mean_conj = eta * np.conj(complex(state.mean_amplitude))
+    mean_conj = eta * np.conj(complex(mean))
     alpha = 1.0 - math.exp(-cutoff * lock.dt)
     dt, kp, ki, phibar0 = lock.dt, lock.kp, lock.ki, cfg.phibar
     cos, sin = math.cos, math.sin
@@ -248,7 +248,7 @@ def _demodulate(state: GaussianFieldState, cfg: HeterodyneConfig,
     return t, phibar, error
 
 
-def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
+def error_signal(mean: complex, cfg: HeterodyneConfig,
                  lock: LockConfig, eta: float = 1.0, *,
                  average_time: float) -> float:
     """Demodulated DC error for the current oscillator phases.
@@ -264,7 +264,7 @@ def error_signal(state: GaussianFieldState, cfg: HeterodyneConfig,
     n_avg = max(1, int(round(average_time / lock.dt)))
     n_settle = int(math.ceil(settle_time / lock.dt))
     open_loop = replace(lock, kp=0.0, ki=0.0, disturbance=None)
-    _, _, error = _demodulate(state, cfg, open_loop, eta, n_settle + n_avg)
+    _, _, error = _demodulate(mean, cfg, open_loop, eta, n_settle + n_avg)
     return float(np.mean(error[n_settle:]))
 
 
@@ -272,9 +272,12 @@ def _wrap_angle(x):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
+def closed_loop_simulate(mean: complex, cfg: HeterodyneConfig,
                          lock: LockConfig, eta: float = 1.0) -> LockTrajectory:
     """Run the discrete-time PI phase-locking loop for ``lock.duration``.
+
+    ``mean`` is the detected field's mean amplitude ``<a>``, all that the
+    lock reads of the field.
 
     Raises LockFailure (with the trajectory attached) when the loop has
     not settled onto a stable extremum of the quadrature mean within the
@@ -282,9 +285,9 @@ def closed_loop_simulate(state: GaussianFieldState, cfg: HeterodyneConfig,
     """
     validate_lock(cfg, lock)
     n = int(round(lock.duration / lock.dt))
-    t, phibar, error = _demodulate(state, cfg, lock, eta, n)
+    t, phibar, error = _demodulate(mean, cfg, lock, eta, n)
 
-    m = complex(state.mean_amplitude)
+    m = complex(mean)
     if m == 0:
         raise LockFailure(
             "zero-mean field produces no error signal; nothing to lock to",

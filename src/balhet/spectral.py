@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonPhysicalSpectrum
-from .field import HeterodyneConfig, OpoParams, QuadratureSpectra, opo_spectra
+from .field import (HeterodyneConfig, OpoParams, QuadratureSpectra, measured_quadrature,
+                    opo_spectra)
 
 # Frequency bins more negative than this are treated as a physicality
 # violation of the input spectra rather than rounding noise.
@@ -47,8 +48,8 @@ def frequency_grid(omega_max: float, points: int, include=()) -> np.ndarray:
     exactly; the extrema of split heterodyne spectra sit at +/-Omega, so
     grids for those curves should include the offset.
     """
-    if not omega_max > 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
+    if not 0 < omega_max < np.inf:
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
     if points < 3:
         raise ValueError(f"need at least 3 grid points, got {points}")
     grid = np.linspace(-omega_max, omega_max, int(points))
@@ -79,28 +80,13 @@ def quadrature_noise_spectrum(spectra: QuadratureSpectra, phibar: float, eta: fl
         S(w) = 1 + eta [phi11 cos^2(phibar) + phi22 sin^2(phibar)
                         + (phi12 + phi21) sin(phibar) cos(phibar)](w).
 
-    Branches with an exactly zero trigonometric coefficient are never
-    evaluated, so e.g. the anti-squeezed branch of a source at threshold
-    does not poison a pure amplitude-quadrature measurement.
+    This is ``measured_quadrature`` with floor 1 and gain eta, so a branch
+    of zero weight is never evaluated.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    c11 = np.cos(phibar) ** 2
-    c22 = np.sin(phibar) ** 2
-    c12 = np.sin(phibar) * np.cos(phibar)
-
-    def spectrum(w):
-        w = np.asarray(w, dtype=float)
-        total = np.ones_like(w)
-        if c11 != 0.0:
-            total = total + eta * c11 * spectra.phi11(w)
-        if c22 != 0.0:
-            total = total + eta * c22 * spectra.phi22(w)
-        if c12 != 0.0:
-            total = total + eta * c12 * spectra.phi12_plus_phi21(w)
-        return total
-
-    return spectrum
+    return measured_quadrature(spectra.phi11, spectra.phi22, spectra.phi12_plus_phi21,
+                               phibar, floor=1.0, gain=eta)
 
 
 def heterodyne_spectrum(spectra: QuadratureSpectra, cfg: HeterodyneConfig,

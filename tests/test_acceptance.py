@@ -14,7 +14,8 @@ import pytest
 import balhet as bh
 from balhet.cli import main as cli_main
 from test_field import random_state
-from wick import error_line_projection, strong_oscillator_background, wick_oracle
+from wick import (coherent_state, error_line_projection, field_kernel_lambda_prime, kernels,
+                  strong_oscillator_background, wick_oracle)
 
 THRESHOLD_OPO = bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0)
 WELCH = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann",
@@ -121,7 +122,7 @@ def test_criterion_5_expansion_cancellation_and_truncation():
         for amp in amplitudes:
             cfg = bh.HeterodyneConfig(Omega=2.1, phi1=0.3, phi2=-0.8,
                                       amplitude=float(amp))
-            lam = bh.intensity_correlation(state, cfg, 0.31, 0.17)
+            lam = bh.intensity_correlation(kernels(state), cfg, 0.31, 0.17)
             wick = wick_oracle(state, cfg, 0.31, 0.17)
             gaps.append(abs(wick - lam) / amp ** 2)
         slope = np.polyfit(np.log10(amplitudes), np.log10(gaps), 1)[0]
@@ -132,23 +133,23 @@ def test_criterion_6_time_average_reduction():
     with report(6, "time averaging reduces to the stationary correlation"):
         rng = np.random.default_rng(606)
         for _ in range(10):
-            state = random_state(rng)
+            k = kernels(random_state(rng))
             cfg = bh.HeterodyneConfig(Omega=rng.uniform(0.5, 4.0),
                                       phi1=rng.uniform(-np.pi, np.pi),
                                       phi2=rng.uniform(-np.pi, np.pi),
                                       amplitude=1.0)
             iota = 0.07
             T = int(rng.integers(20, 80)) * np.pi / cfg.Omega  # at least ten beat periods
-            closed = float(bh.lambda_prime(state, cfg, iota))
-            mismatch = abs(bh.time_average_reduce(state, cfg, iota, T) - closed)
+            closed = float(bh.lambda_prime(k, cfg, iota))
+            mismatch = abs(bh.time_average_reduce(k, cfg, iota, T) - closed)
             assert mismatch <= 1e-10 * max(abs(closed), 1e-9)
 
-        state = random_state(np.random.default_rng(607))
+        k = kernels(random_state(np.random.default_rng(607)))
         cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, amplitude=1.0)
         counts = np.array([20, 64, 200, 640])
         T = (counts + 0.25) * np.pi / cfg.Omega
-        closed = float(bh.lambda_prime(state, cfg, 0.13))
-        mism = [abs(bh.time_average_reduce(state, cfg, 0.13, float(Tk)) - closed)
+        closed = float(bh.lambda_prime(k, cfg, 0.13))
+        mism = [abs(bh.time_average_reduce(k, cfg, 0.13, float(Tk)) - closed)
                 for Tk in T]
         slope = np.polyfit(np.log10(T), np.log10(mism), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
@@ -164,20 +165,21 @@ def test_criterion_7_representation_equivalence():
                                       phi2=rng.uniform(-np.pi, np.pi),
                                       amplitude=rng.uniform(0.5, 2.0))
             tau = rng.uniform(-4.0, 4.0, size=25)
-            a = bh.lambda_prime(state, cfg, tau)
-            b = bh.lambda_prime_quadrature_form(state, cfg, tau)
+            a = field_kernel_lambda_prime(state, cfg, tau)
+            b = bh.lambda_prime(kernels(state), cfg, tau)
             scale = np.max(np.abs(a)) + 1e-30
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
 def test_criterion_8_phase_lock():
     with report(8, "modulation lock converges and its error line is calibrated"):
-        state = bh.coherent_state(1.0 + 0j)
+        mean = 1.0 + 0j
+        state = coherent_state(mean)
         cfg = bh.HeterodyneConfig(Omega=TWO_PI * 1280.0, phi1=0.3, phi2=0.3,
                                   amplitude=0.1)
         lock = bh.LockConfig(Omega_prime=TWO_PI * 1152.0, theta=0.2)
 
-        trajectory = bh.closed_loop_simulate(state, cfg, lock)
+        trajectory = bh.closed_loop_simulate(mean, cfg, lock)
         assert trajectory.locked
         assert abs(trajectory.phibar[-1]) < 1e-3
 
@@ -185,10 +187,10 @@ def test_criterion_8_phase_lock():
         assert residual < 1e-3
         proj = error_line_projection(state, cfg, lock,
                                      duration=0.25, samples=2 ** 15)
-        pred = bh.error_line_prediction(state, cfg, lock)
+        pred = bh.error_line_prediction(mean, cfg, lock)
         assert abs(proj - pred) <= residual * abs(pred)
 
-        vacuum_error = bh.error_signal(bh.coherent_state(0), cfg, lock,
+        vacuum_error = bh.error_signal(0j, cfg, lock,
                                        average_time=0.125)
         assert abs(vacuum_error) < 1e-12
 

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
 from balhet.errors import ConfigInvalid, NonPhysicalSpectrum
-from balhet.field import coherent_state
 from balhet.locking import closed_loop_simulate
 from balhet.serialize import write_table_csv
 
@@ -177,10 +176,10 @@ class TestArtifacts:
         assert run_cli("lock", "--config", str(conf), "--out", str(out)) == 0
         summary = json.loads((out / "lock_summary.json").read_text())
         cfg = load_config(str(conf), mode="lock")
-        state = coherent_state(cfg.lock_mean)
         sine = replace(cfg.lock, disturbance=lambda t: 0.001 * np.sin(50.0 * np.asarray(t)))
-        expected = closed_loop_simulate(state, cfg.lock_heterodyne, sine, eta=cfg.opo.eta)
-        quiet = closed_loop_simulate(state, cfg.lock_heterodyne,
+        expected = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne, sine,
+                                        eta=cfg.opo.eta)
+        quiet = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne,
                                      replace(cfg.lock, disturbance=None), eta=cfg.opo.eta)
         assert summary["locked"] is True
         assert summary["residual_rms"] == expected.residual_rms > quiet.residual_rms

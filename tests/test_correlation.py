@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import balhet as bh
-from balhet.errors import InsufficientAveraging
+from balhet.errors import InsufficientAveraging, ThresholdDivergence
 from test_field import random_state
-from wick import quadrature_mean, strong_oscillator_background, wick_oracle
+from wick import (GaussianFieldState, coherent_state, kernels,
+                  quadrature_correlations_to_gammas, quadrature_mean,
+                  strong_oscillator_background, wick_oracle)
 
 
 def random_lo(rng, amplitude=1.0):
@@ -50,10 +52,10 @@ def eight_term_correlation(state, cfg, t, iota):
 
 class TestIntensityCorrelation:
     def test_vacuum_kernels_give_zero(self):
-        state = bh.coherent_state(0)
+        k = kernels(coherent_state(0))
         cfg = bh.HeterodyneConfig(Omega=1.0, amplitude=50.0)
         t = np.linspace(0, 5, 11)
-        assert np.all(bh.intensity_correlation(state, cfg, t, 0.3) == 0.0)
+        assert np.all(bh.intensity_correlation(k, cfg, t, 0.3) == 0.0)
 
     def test_conjugate_pair_realness(self):
         rng = np.random.default_rng(31)
@@ -77,7 +79,7 @@ class TestIntensityCorrelation:
                             (rng.uniform(0, 5), i_arr),
                             (t_arr, i_arr),
                             (t_arr[:, None], i_arr[None, :])]:
-                got = bh.intensity_correlation(state, cfg, t, iota)
+                got = bh.intensity_correlation(kernels(state), cfg, t, iota)
                 want = np.real(eight_term_correlation(state, cfg, t, iota))
                 scale = cfg.amplitude ** 2 * (np.abs(state.gamma11(iota))
                                               + np.abs(state.gamma20(iota)))
@@ -87,7 +89,7 @@ class TestIntensityCorrelation:
 
 class TestWickOracle:
     def test_zero_state_gives_zero(self):
-        state = bh.coherent_state(0)
+        state = coherent_state(0)
         cfg = bh.HeterodyneConfig(Omega=1.3, amplitude=30.0)
         assert wick_oracle(state, cfg, 0.7, 0.2) == 0.0
 
@@ -95,10 +97,10 @@ class TestWickOracle:
         # zero-mean source: the two routes differ only by amplitude-free
         # kernel-squared terms, tiny against the kept quadratic terms
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
-        state = bh.opo_field_state(params)
+        k = bh.opo_field_state(params)
         cfg = bh.HeterodyneConfig(Omega=1.5, phi1=0.0, phi2=0.0, amplitude=1e3)
-        lam = bh.intensity_correlation(state, cfg, 0.0, 0.0)
-        wick = wick_oracle(state, cfg, 0.0, 0.0)
+        lam = bh.intensity_correlation(k, cfg, 0.0, 0.0)
+        wick = wick_oracle(quadrature_correlations_to_gammas(k), cfg, 0.0, 0.0)
         assert wick == pytest.approx(lam, rel=1e-5)
 
     def test_background_cancellation(self):
@@ -122,7 +124,7 @@ class TestWickOracle:
         gaps = []
         for amp in amplitudes:
             cfg = bh.HeterodyneConfig(Omega=2.1, phi1=0.3, phi2=-0.8, amplitude=amp)
-            lam = bh.intensity_correlation(state, cfg, t0, i0)
+            lam = bh.intensity_correlation(kernels(state), cfg, t0, i0)
             wick = wick_oracle(state, cfg, t0, i0)
             gaps.append(abs(wick - lam) / amp ** 2)
             assert gaps[-1] <= pinned_c / amp
@@ -140,8 +142,8 @@ class TestLambdaPrime:
                                       phi2=rng.uniform(-np.pi, np.pi),
                                       amplitude=1.0)
             tau = rng.uniform(-3, 3, size=15)
-            a = bh.lambda_prime(state, cfg, tau)
-            b = bh.lambda_prime_quadrature_form(state, cfg, tau)
+            a = bh.lambda_prime(kernels(state), cfg, tau)
+            b = bh.lambda_prime_quadrature_form(kernels(state), cfg, tau)
             scale = np.max(np.abs(a)) + 1e-30
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
@@ -151,10 +153,10 @@ class TestLambdaPrime:
         state = random_state(rng)
         cfg = bh.HeterodyneConfig(Omega=1.2, phi1=0.3, phi2=-0.3, amplitude=2.0)
         assert cfg.phibar == pytest.approx(0.0)
-        k = bh.gammas_to_quadrature_correlations(state)
+        k = kernels(state)
         tau = np.linspace(-2, 2, 21)
         expected = cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * 2.0 * k.k11(tau)
-        assert np.allclose(bh.lambda_prime_quadrature_form(state, cfg, tau),
+        assert np.allclose(bh.lambda_prime_quadrature_form(k, cfg, tau),
                            expected, atol=1e-13)
 
     def test_diagonal_mix_at_pi_over_four(self):
@@ -163,22 +165,45 @@ class TestLambdaPrime:
         cfg = bh.HeterodyneConfig(Omega=0.9, phi1=np.pi / 4, phi2=np.pi / 4,
                                   amplitude=1.5)
         assert cfg.phibar == pytest.approx(np.pi / 4)
-        k = bh.gammas_to_quadrature_correlations(state)
+        k = kernels(state)
         tau = np.linspace(-2, 2, 17)
         expected = (cfg.amplitude ** 2 * np.cos(cfg.Omega * tau)
                     * (k.k11(tau) + k.k22(tau) + k.k12(tau) + k.k21(tau)))
-        assert np.allclose(bh.lambda_prime_quadrature_form(state, cfg, tau),
+        assert np.allclose(bh.lambda_prime_quadrature_form(k, cfg, tau),
                            expected, atol=1e-13)
 
     def test_phase_insensitive_source(self):
         # vanishing g20: lambda' = 4 E^2 cos(W tau) Re g11(tau), any phases
         g11 = lambda tau: np.exp(-np.abs(tau)) * (0.8 + 0.3j * np.sign(tau))
         zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-        state = bh.GaussianFieldState(0j, g11, zero)
+        state = GaussianFieldState(0j, g11, zero)
         cfg = bh.HeterodyneConfig(Omega=1.7, phi1=0.5, phi2=-1.1, amplitude=3.0)
         tau = np.linspace(-3, 3, 25)
         expected = 4.0 * 9.0 * np.cos(1.7 * tau) * np.real(g11(tau))
-        assert np.allclose(bh.lambda_prime(state, cfg, tau), expected, atol=1e-12)
+        assert np.allclose(bh.lambda_prime(kernels(state), cfg, tau), expected, atol=1e-12)
+
+
+    @pytest.mark.parametrize("phibar, skipped", [(0.0, "k22"), (np.pi / 2, "k11")])
+    def test_zero_weight_branch_never_evaluated(self, phibar, skipped):
+        # the time-domain mirror of the spectral skip: at phibar = 0 a k22 that
+        # raises, as the anti-squeezed kernel at threshold would, is never
+        # called, nor k11 at phibar = pi/2, nor the cross kernels at either
+        def diverges(tau):
+            raise ThresholdDivergence("a zero-weight branch was evaluated")
+
+        def kernel(tau):
+            return np.exp(-np.abs(np.asarray(tau, dtype=float)))
+
+        k = bh.QuadratureKernels(**{"k11": kernel, "k22": kernel, skipped: diverges,
+                                    "k12": diverges, "k21": diverges})
+        cfg = bh.HeterodyneConfig(Omega=2.0, phi1=phibar, phi2=phibar)
+        tau = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(bh.lambda_prime(k, cfg, tau),
+                              2.0 * np.cos(2.0 * tau) * kernel(tau))
+        assert np.all(np.isfinite(bh.intensity_correlation(k, cfg, 0.4, tau)))
+        T = 20 * np.pi / cfg.Omega
+        assert bh.time_average_reduce(k, cfg, 0.3, T) == pytest.approx(
+            float(bh.lambda_prime(k, cfg, 0.3)), rel=1e-10)
 
 
 class TestPhaseFrame:
@@ -191,7 +216,7 @@ class TestPhaseFrame:
         for _ in range(50):
             state = random_state(rng)
             theta = rng.uniform(-np.pi, np.pi)
-            rotated = bh.GaussianFieldState(
+            rotated = GaussianFieldState(
                 state.mean_amplitude * np.exp(-1j * theta), state.gamma11,
                 lambda tau, g20=state.gamma20, r=np.exp(2j * theta): g20(tau) * r)
             cfg = random_lo(rng, amplitude=rng.uniform(0.5, 3.0))
@@ -199,16 +224,16 @@ class TestPhaseFrame:
                                           phi2=cfg.phi2 - theta, amplitude=cfg.amplitude)
             t, tau = rng.uniform(0, 5, size=(2, 9))
             phibar = rng.uniform(-np.pi, np.pi, size=9)
-            for f, args in [(bh.lambda_prime, (tau,)),
-                            (bh.lambda_prime_quadrature_form, (tau,)),
-                            (bh.intensity_correlation, (t, tau)),
-                            (wick_oracle, (t, tau))]:
-                want = f(state, cfg, *args)
-                got = f(rotated, shifted, *args)
+            for f, read, args in [(bh.lambda_prime, kernels, (tau,)),
+                                  (bh.lambda_prime_quadrature_form, kernels, (tau,)),
+                                  (bh.intensity_correlation, kernels, (t, tau)),
+                                  (wick_oracle, lambda s: s, (t, tau))]:
+                want = f(read(state), cfg, *args)
+                got = f(read(rotated), shifted, *args)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             for f in (quadrature_mean, bh.quadrature_mean_slope):
-                want = f(state, phibar)
-                got = f(rotated, phibar - theta)
+                want = f(state.mean_amplitude, phibar)
+                got = f(rotated.mean_amplitude, phibar - theta)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -216,35 +241,35 @@ class TestTimeAverage:
     def test_commensurate_window_is_exact(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
-            state = random_state(rng)
+            k = kernels(random_state(rng))
             cfg = random_lo(rng, amplitude=rng.uniform(0.5, 3.0))
             iota = 0.21  # keep cos(Omega iota) away from zero crossings
             if abs(np.cos(cfg.Omega * iota)) < 0.2:
                 iota = 0.05
             T = 40 * np.pi / cfg.Omega
-            closed = float(bh.lambda_prime(state, cfg, iota))
-            mismatch = abs(bh.time_average_reduce(state, cfg, iota, T) - closed)
+            closed = float(bh.lambda_prime(k, cfg, iota))
+            mismatch = abs(bh.time_average_reduce(k, cfg, iota, T) - closed)
             assert mismatch <= 1e-10 * max(abs(closed), 1e-12)
 
     def test_incommensurate_window_decays_inversely(self):
         rng = np.random.default_rng(38)
-        state = random_state(rng)
+        k = kernels(random_state(rng))
         cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, amplitude=1.0)
         iota = 0.13
         # quarter-period offsets keep the leftover oscillation amplitude fixed
         counts = np.array([20, 64, 200, 640])
         T = (counts + 0.25) * np.pi / cfg.Omega
-        closed = float(bh.lambda_prime(state, cfg, iota))
-        mism = [abs(bh.time_average_reduce(state, cfg, iota, float(Tk)) - closed)
+        closed = float(bh.lambda_prime(k, cfg, iota))
+        mism = [abs(bh.time_average_reduce(k, cfg, iota, float(Tk)) - closed)
                 for Tk in T]
         slope = np.polyfit(np.log10(T), np.log10(mism), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
     def test_short_window_rejected(self):
-        state = random_state(np.random.default_rng(39))
+        k = kernels(random_state(np.random.default_rng(39)))
         cfg = bh.HeterodyneConfig(Omega=1.0, amplitude=1.0)
         with pytest.raises(InsufficientAveraging):
-            bh.time_average_reduce(state, cfg, 0.1, T=5 * np.pi)
+            bh.time_average_reduce(k, cfg, 0.1, T=5 * np.pi)
 
     @pytest.mark.parametrize("Omega, T", [(1.0, 1e308), (5e-324, 40 * np.pi / 5e-324),
                                           (10.0, np.float64(1e308))],
@@ -252,19 +277,19 @@ class TestTimeAverage:
     def test_overflowing_beat_phase_rejected(self, Omega, T):
         # these once escaped as a bare OverflowError, an int() ValueError or,
         # for a numpy scalar, an overflow RuntimeWarning
-        state = random_state(np.random.default_rng(41))
+        k = kernels(random_state(np.random.default_rng(41)))
         cfg = bh.HeterodyneConfig(Omega=Omega, amplitude=1.0)
         with pytest.raises(InsufficientAveraging, match="overflows the beat phase"):
-            bh.time_average_reduce(state, cfg, 0.1, T)
+            bh.time_average_reduce(k, cfg, 0.1, T)
 
     def test_exactly_ten_periods_accepted(self):
         # 20 pi / Omega rounds one ulp below 10 * (2 pi / Omega) at Omega = 0.05
-        state = random_state(np.random.default_rng(40))
+        k = kernels(random_state(np.random.default_rng(40)))
         cfg = bh.HeterodyneConfig(Omega=0.05, amplitude=1.0)
         assert 20 * np.pi / cfg.Omega < 10 * (2 * np.pi / cfg.Omega)
-        bh.time_average_reduce(state, cfg, 0.1, T=20 * np.pi / cfg.Omega)
+        bh.time_average_reduce(k, cfg, 0.1, T=20 * np.pi / cfg.Omega)
         with pytest.raises(InsufficientAveraging):
-            bh.time_average_reduce(state, cfg, 0.1, T=19.9 * np.pi / cfg.Omega)
+            bh.time_average_reduce(k, cfg, 0.1, T=19.9 * np.pi / cfg.Omega)
 
 
 class TestSpectralConsistency:
@@ -272,10 +297,10 @@ class TestSpectralConsistency:
         # cross-module: the transform of lambda' with a flat detector must
         # reproduce the analytic heterodyne spectrum after normalization
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
-        state = bh.opo_field_state(params)
+        k = bh.opo_field_state(params)
         cfg = bh.HeterodyneConfig(Omega=2.2, phi1=0.5, phi2=0.1, amplitude=1.0)
         tau = np.linspace(0.0, 250.0, 50001)
-        lam = bh.lambda_prime(state, cfg, tau)
+        lam = bh.lambda_prime(k, cfg, tau)
         spectra = bh.opo_spectra(params)
         w_probe = np.array([0.0, 0.3, 1.0, 2.2, 3.5])
         engine = bh.heterodyne_spectrum(spectra, cfg, params.eta, w_probe)

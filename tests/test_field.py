@@ -5,7 +5,7 @@ import pytest
 
 import balhet as bh
 from balhet.errors import ThresholdDivergence
-from wick import quadrature_correlations_to_gammas, quadrature_mean
+from wick import GaussianFieldState, kernels, quadrature_correlations_to_gammas, quadrature_mean
 
 
 def random_state(rng):
@@ -25,39 +25,36 @@ def random_state(rng):
         return c2 * np.exp(-a2 * at) * np.cos(b2 * tau)
 
     mean = rng.normal() + 1j * rng.normal()
-    return bh.GaussianFieldState(mean, g11, g20)
+    return GaussianFieldState(mean, g11, g20)
 
 
 class TestQuadratureMean:
     def test_vacuum_is_zero_for_any_angle(self):
-        state = bh.coherent_state(0)
         for phibar in (0.0, 0.3, np.pi / 2, 2.0):
-            assert quadrature_mean(state, phibar) == 0.0
+            assert quadrature_mean(0, phibar) == 0.0
 
     def test_unit_amplitude(self):
-        state = bh.coherent_state(1.0 + 0j)
-        assert quadrature_mean(state, 0.0) == pytest.approx(2.0, abs=1e-15)
-        assert quadrature_mean(state, np.pi / 2) == pytest.approx(0.0, abs=1e-15)
+        assert quadrature_mean(1.0 + 0j, 0.0) == pytest.approx(2.0, abs=1e-15)
+        assert quadrature_mean(1.0 + 0j, np.pi / 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_general_angle_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = rng.normal() + 1j * rng.normal()
             phibar = rng.uniform(-np.pi, np.pi)
-            state = bh.coherent_state(m)
             # direct evaluation: <a e^{-i phibar}> + c.c.
             expected = 2.0 * np.real(m * np.exp(-1j * phibar))
-            assert quadrature_mean(state, phibar) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+            assert quadrature_mean(m, phibar) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
     def test_slope_matches_finite_difference(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            state = bh.coherent_state(rng.normal() + 1j * rng.normal())
+            mean = rng.normal() + 1j * rng.normal()
             phibar = rng.uniform(-np.pi, np.pi)
             h = 1e-6
-            fd = (quadrature_mean(state, phibar + h)
-                  - quadrature_mean(state, phibar - h)) / (2 * h)
-            assert bh.quadrature_mean_slope(state, phibar) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+            fd = (quadrature_mean(mean, phibar + h)
+                  - quadrature_mean(mean, phibar - h)) / (2 * h)
+            assert bh.quadrature_mean_slope(mean, phibar) == pytest.approx(fd, rel=1e-8, abs=1e-8)
 
 
 class TestOpoParams:
@@ -114,8 +111,8 @@ class TestKernelConversions:
         # vanishing g20: k11 = k22 = 2 Re g11, k12 = -k21 = 2 Im g11
         g11 = lambda tau: np.exp(-np.abs(tau)) * (1.0 + 0.5j * np.sign(tau))
         zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
-        state = bh.GaussianFieldState(0j, g11, zero)
-        k = bh.gammas_to_quadrature_correlations(state)
+        state = GaussianFieldState(0j, g11, zero)
+        k = kernels(state)
         tau = np.linspace(-3, 3, 31)
         assert np.allclose(k.k11(tau), 2 * np.real(g11(tau)), atol=1e-15)
         assert np.allclose(k.k22(tau), 2 * np.real(g11(tau)), atol=1e-15)
@@ -127,8 +124,8 @@ class TestKernelConversions:
         # all fluctuation power in the conjugate quadrature.
         g11 = lambda tau: np.exp(-np.abs(tau)) + 0j
         g20 = lambda tau: -np.exp(-np.abs(tau)) + 0j
-        state = bh.GaussianFieldState(0j, g11, g20)
-        k = bh.gammas_to_quadrature_correlations(state)
+        state = GaussianFieldState(0j, g11, g20)
+        k = kernels(state)
         tau = np.linspace(-2, 2, 21)
         assert np.allclose(k.k11(tau), 0.0, atol=1e-14)
         assert np.allclose(k.k22(tau), 4 * np.exp(-np.abs(tau)), atol=1e-14)
@@ -140,7 +137,7 @@ class TestKernelConversions:
         tau = np.linspace(-4, 4, 41)
         for _ in range(25):
             state = random_state(rng)
-            k = bh.gammas_to_quadrature_correlations(state)
+            k = kernels(state)
             back = quadrature_correlations_to_gammas(k)
             for a, b in ((state.gamma11, back.gamma11), (state.gamma20, back.gamma20)):
                 ref = np.asarray(a(tau))
@@ -154,9 +151,9 @@ class TestKernelConversions:
         values = {name: rng.normal(size=tau.size) for name in "abcd"}
         interp = {name: (lambda v: (lambda x: np.interp(x, tau, v)))(v)
                   for name, v in values.items()}
-        kernels = bh.QuadratureKernels(interp["a"], interp["b"], interp["c"], interp["d"])
-        state = quadrature_correlations_to_gammas(kernels)
-        back = bh.gammas_to_quadrature_correlations(state)
+        k = bh.QuadratureKernels(interp["a"], interp["b"], interp["c"], interp["d"])
+        state = quadrature_correlations_to_gammas(k)
+        back = kernels(state)
         for name, f in zip("abcd", (back.k11, back.k22, back.k12, back.k21)):
             assert np.max(np.abs(f(tau) - values[name])) <= 1e-12
 
@@ -166,8 +163,7 @@ class TestOpoFieldState:
         # independent route: numerically Fourier transform the time-domain
         # kernels and compare against the analytic Lorentzians
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
-        state = bh.opo_field_state(params)
-        k = bh.gammas_to_quadrature_correlations(state)
+        k = bh.opo_field_state(params)
         spectra = bh.opo_spectra(params)
         tau = np.linspace(-400.0, 400.0, 2 ** 20 + 1)
         for kernel, spectrum in ((k.k11, spectra.phi11), (k.k22, spectra.phi22)):
@@ -178,16 +174,17 @@ class TestOpoFieldState:
 
     def test_cross_kernels_vanish(self):
         params = bh.OpoParams(gamma=1.0, epsilon=0.3)
-        k = bh.gammas_to_quadrature_correlations(bh.opo_field_state(params))
+        k = bh.opo_field_state(params)
         tau = np.linspace(-5, 5, 21)
         assert np.allclose(k.k12(tau), 0.0, atol=1e-15)
         assert np.allclose(k.k21(tau), 0.0, atol=1e-15)
 
     def test_kernel_symmetries(self):
-        state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.45))
+        # the stationary auto-correlations are even in the lag
+        k = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.45))
         tau = np.linspace(0.1, 8.0, 30)
-        assert np.allclose(state.gamma11(-tau), np.conj(state.gamma11(tau)), atol=1e-15)
-        assert np.allclose(state.gamma20(-tau), state.gamma20(tau), atol=1e-15)
+        assert np.allclose(k.k11(-tau), k.k11(tau), atol=1e-15)
+        assert np.allclose(k.k22(-tau), k.k22(tau), atol=1e-15)
 
     def test_threshold_rejected(self):
         with pytest.raises(ThresholdDivergence):
@@ -198,15 +195,16 @@ class TestOpoFieldState:
 
     def test_no_pump_gives_zero_kernels(self):
         # epsilon = 0 scales both kernels, and so the correlation, to exact zero
-        state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.0))
+        k = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.0))
         tau = np.linspace(-5.0, 5.0, 21)
-        assert np.all(state.gamma11(tau) == 0.0) and np.all(state.gamma20(tau) == 0.0)
+        assert np.all(k.k11(tau) == 0.0) and np.all(k.k22(tau) == 0.0)
         cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.3, phi2=0.7)
-        assert np.all(bh.lambda_prime(state, cfg, tau) == 0.0)
+        assert np.all(bh.lambda_prime(k, cfg, tau) == 0.0)
 
     def test_flux_nonnegative(self):
-        state = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.49))
-        assert np.real(state.gamma11(0.0)) >= 0.0
+        # the fluctuation flux Re g11(0) = (k11 + k22)(0)/4
+        k = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.49))
+        assert k.k11(0.0) + k.k22(0.0) >= 0.0
 
 
 class TestHeterodyneConfig:
@@ -235,7 +233,15 @@ class TestHeterodyneConfig:
     @pytest.mark.parametrize("field, value", [
         ("Omega", np.nan), ("Omega", np.inf), ("phi1", np.nan), ("phi2", np.inf),
         ("phi1", -np.inf), ("amplitude", np.inf), ("amplitude", np.nan),
+        ("gamma", np.inf),
     ])
     def test_non_finite_refused(self, field, value):
+        if field == "gamma":
+            # the source's rate: OpoParams(gamma=inf) once passed, and its kernels
+            # were NaN at epsilon = 0 and refused as "inverse overflows" at inf
+            for epsilon in (0.0, value):
+                with pytest.raises(ValueError, match=field):
+                    bh.OpoParams(gamma=value, epsilon=epsilon)
+            return
         with pytest.raises(ValueError, match=field):
             bh.HeterodyneConfig(**{"Omega": 1.0, field: value})

@@ -13,7 +13,7 @@ import balhet as bh
 from balhet.errors import DemodClash, LockFailure
 from balhet.locking import (_LOCK_BLOCK, _demodulate, _folded_sin,
                             _lo_superposition_modulated, validate_lock)
-from wick import error_line_projection, mean_photocurrent, quadrature_mean
+from wick import coherent_state, error_line_projection, mean_photocurrent, quadrature_mean
 
 TWO_PI = 2.0 * np.pi
 
@@ -21,7 +21,8 @@ TWO_PI = 2.0 * np.pi
 # cycle grid (common period 1/128 s)
 F_HET = 1280.0
 F_MOD = 1152.0
-STATE = bh.coherent_state(1.0 + 0j)
+MEAN = 1.0 + 0j
+STATE = coherent_state(MEAN)
 
 
 def het_config(phibar=0.3, amplitude=0.1, dphi=0.0):
@@ -99,9 +100,9 @@ class TestMeanPhotocurrent:
         lock = lock_config(theta=0.0)
         t = np.linspace(0.0, 3.0 / F_HET, 257)
         j = mean_photocurrent(STATE, cfg, lock, t, eta=0.9)
-        xmean = quadrature_mean(STATE, cfg.phibar)
+        xmean = quadrature_mean(MEAN, cfg.phibar)
         expected = 0.9 * (
-            abs(STATE.mean_amplitude) ** 2
+            abs(MEAN) ** 2
             + 2.0 * cfg.amplitude * np.cos(cfg.Omega * t + cfg.dphi) * xmean
             + 4.0 * cfg.amplitude ** 2 * np.cos(cfg.Omega * t + cfg.dphi) ** 2)
         assert np.max(np.abs(j - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -115,33 +116,33 @@ class TestMeanPhotocurrent:
         lock = lock_config(theta=theta)
         proj = error_line_projection(STATE, cfg, lock, eta=0.8,
                                      duration=0.25, samples=2 ** 15)
-        pred = bh.error_line_prediction(STATE, cfg, lock, eta=0.8)
+        pred = bh.error_line_prediction(MEAN, cfg, lock, eta=0.8)
         assert abs(proj - pred) <= bh.bessel_truncation(theta).residual * abs(pred) + 1e-13
 
     def test_vacuum_has_no_demodulation_line(self):
         cfg = het_config(phibar=0.3)
         lock = lock_config(theta=0.2)
-        proj = error_line_projection(bh.coherent_state(0), cfg, lock,
+        proj = error_line_projection(coherent_state(0), cfg, lock,
                                      duration=0.25, samples=2 ** 15)
         assert abs(proj) < 1e-14
 
     def test_prediction_refuses_inaccurate_depth(self):
         # theta = 40 leaves almost all the power outside the two sidebands
         with pytest.raises(ValueError, match="sideband power"):
-            bh.error_line_prediction(STATE, het_config(), lock_config(theta=40.0))
+            bh.error_line_prediction(MEAN, het_config(), lock_config(theta=40.0))
 
 
 class TestErrorSignal:
     def test_zero_at_extremum(self):
-        e = bh.error_signal(STATE, het_config(phibar=0.0), lock_config(),
+        e = bh.error_signal(MEAN, het_config(phibar=0.0), lock_config(),
                             average_time=0.125)
         assert abs(e) < 1e-12
 
     def test_restoring_sign(self):
         lock = lock_config()
-        e_pos = bh.error_signal(STATE, het_config(phibar=+0.1), lock,
+        e_pos = bh.error_signal(MEAN, het_config(phibar=+0.1), lock,
                                 average_time=0.125)
-        e_neg = bh.error_signal(STATE, het_config(phibar=-0.1), lock,
+        e_neg = bh.error_signal(MEAN, het_config(phibar=-0.1), lock,
                                 average_time=0.125)
         assert e_pos < 0 < e_neg
         assert e_pos == pytest.approx(-e_neg, rel=1e-9)
@@ -151,10 +152,10 @@ class TestErrorSignal:
         for phibar, dphi, demod in ((0.2, 0.0, 0.0), (-0.4, 0.25, 0.1)):
             cfg = het_config(phibar=phibar, dphi=dphi)
             lock = lock_config(theta=0.2, demod_phase=demod)
-            e = bh.error_signal(STATE, cfg, lock, eta=0.9,
+            e = bh.error_signal(MEAN, cfg, lock, eta=0.9,
                                 average_time=0.125)
             j1 = bh.bessel_truncation(0.2).j1
-            slope = bh.quadrature_mean_slope(STATE, phibar)
+            slope = bh.quadrature_mean_slope(MEAN, phibar)
             expected = (2.0 * 0.9 * cfg.amplitude * j1 * slope
                         * np.cos(demod - dphi))
             assert e == pytest.approx(expected, rel=1e-6, abs=1e-12)
@@ -163,18 +164,18 @@ class TestErrorSignal:
         for phibar in (0.0, 0.3, -0.8):
             cfg = het_config(phibar=phibar, dphi=0.2)
             lock = lock_config(demod_phase=0.2 + np.pi / 2)
-            e = bh.error_signal(STATE, cfg, lock, average_time=0.125)
+            e = bh.error_signal(MEAN, cfg, lock, average_time=0.125)
             assert abs(e) < 1e-9
 
     def test_vacuum_gives_zero(self):
-        e = bh.error_signal(bh.coherent_state(0), het_config(), lock_config(),
+        e = bh.error_signal(0j, het_config(), lock_config(),
                             average_time=0.125)
         assert abs(e) < 1e-12
 
     def test_demodulation_clash(self):
         lock = lock_config(lowpass_cutoff=TWO_PI * (F_HET - F_MOD) * 1.5)
         with pytest.raises(DemodClash):
-            bh.error_signal(STATE, het_config(), lock, average_time=0.125)
+            bh.error_signal(MEAN, het_config(), lock, average_time=0.125)
 
     @pytest.mark.parametrize("cutoff", [-50.0, 0.0, math.nan, math.inf])
     def test_cutoff_outside_open_half_line_refused(self, cutoff):
@@ -190,27 +191,27 @@ class TestErrorSignal:
 
     def test_validation(self):
         with pytest.raises(ValueError):  # modulation above the beat
-            bh.error_signal(STATE, het_config(),
+            bh.error_signal(MEAN, het_config(),
                             bh.LockConfig(Omega_prime=TWO_PI * 2000.0),
                             average_time=0.125)
         with pytest.raises(ValueError):  # step too coarse
-            bh.error_signal(STATE, het_config(), lock_config(dt=1e-3),
+            bh.error_signal(MEAN, het_config(), lock_config(dt=1e-3),
                             average_time=0.125)
         with pytest.raises(ValueError):  # depth outside the sideband picture
-            bh.error_signal(STATE, het_config(), lock_config(theta=1.5),
+            bh.error_signal(MEAN, het_config(), lock_config(theta=1.5),
                             average_time=0.125)
 
     def test_modulation_at_beat_rejected(self):
         # the lock check runs before the step count divides by Omega - Omega'
         with pytest.raises(ValueError, match="below the heterodyne offset"):
-            bh.error_signal(STATE, het_config(),
+            bh.error_signal(MEAN, het_config(),
                             bh.LockConfig(Omega_prime=TWO_PI * F_HET),
                             average_time=0.125)
 
 
 class TestClosedLoop:
     def test_lock_from_standard_offset(self):
-        traj = bh.closed_loop_simulate(STATE, het_config(phibar=0.3),
+        traj = bh.closed_loop_simulate(MEAN, het_config(phibar=0.3),
                                        lock_config())
         assert traj.locked
         assert abs(traj.phibar[-1]) < 1e-3
@@ -218,15 +219,15 @@ class TestClosedLoop:
         assert traj.lock_point == pytest.approx(0.0)
 
     def test_deterministic(self):
-        a = bh.closed_loop_simulate(STATE, het_config(), lock_config())
-        b = bh.closed_loop_simulate(STATE, het_config(), lock_config())
+        a = bh.closed_loop_simulate(MEAN, het_config(), lock_config())
+        b = bh.closed_loop_simulate(MEAN, het_config(), lock_config())
         assert np.array_equal(a.phibar, b.phibar)
         assert np.array_equal(a.error_signal, b.error_signal)
 
     def test_basin_selects_adjacent_stable_zero(self):
         # starting just past the unstable extremum: converges to the next
         # stable point (2 pi), never back to pi
-        traj = bh.closed_loop_simulate(STATE, het_config(phibar=1.1 * np.pi),
+        traj = bh.closed_loop_simulate(MEAN, het_config(phibar=1.1 * np.pi),
                                        lock_config(duration=1.0))
         assert traj.locked
         assert traj.phibar[-1] == pytest.approx(2.0 * np.pi, abs=1e-3)
@@ -237,7 +238,7 @@ class TestClosedLoop:
         disturbance = lambda t: amp * np.sin(w_dist * np.asarray(t))
         lock = lock_config(duration=2.0, disturbance=disturbance,
                            lock_tolerance=0.02)
-        traj = bh.closed_loop_simulate(STATE, het_config(phibar=0.0), lock)
+        traj = bh.closed_loop_simulate(MEAN, het_config(phibar=0.0), lock)
         n = len(traj.time)
         closed_rms = float(np.sqrt(np.mean(traj.phibar[n // 2:] ** 2)))
         open_rms = amp / np.sqrt(2.0)
@@ -246,25 +247,25 @@ class TestClosedLoop:
 
     def test_vacuum_raises_lock_failure(self):
         with pytest.raises(LockFailure) as info:
-            bh.closed_loop_simulate(bh.coherent_state(0), het_config(),
+            bh.closed_loop_simulate(0j, het_config(),
                                     lock_config(duration=0.05))
         assert info.value.trajectory is not None
 
     def test_unconverged_raises_with_trajectory(self):
         slow = lock_config(ki=1.0, duration=0.05)
         with pytest.raises(LockFailure) as info:
-            bh.closed_loop_simulate(STATE, het_config(phibar=0.3), slow)
+            bh.closed_loop_simulate(MEAN, het_config(phibar=0.3), slow)
         traj = info.value.trajectory
         assert traj is not None and not traj.locked
         assert np.isnan(traj.lock_time)
 
 
-def _step_reference(state, cfg, lock, eta, n):
+def _step_reference(mean, cfg, lock, eta, n):
     """The lock loop with every input precomputed at full length."""
     t = np.arange(n) * lock.dt
     c0 = _lo_superposition_modulated(cfg, lock, t)
     base = (eta * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)).tolist()
-    beat = (eta * np.conj(complex(state.mean_amplitude)) * c0).tolist()
+    beat = (eta * np.conj(complex(mean)) * c0).tolist()
     nu = cfg.Omega - lock.Omega_prime
     ref = (-2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)).tolist()
     disturb = np.asarray(lock.disturbance(t), dtype=float).tolist()
@@ -285,13 +286,13 @@ def _step_reference(state, cfg, lock, eta, n):
 class TestBlockedLoop:
     def test_blocked_loop_matches_step_reference(self):
         # two full blocks and a partial one, with every input term live
-        state = bh.coherent_state(0.8 - 0.45j)
+        mean = 0.8 - 0.45j
         cfg = het_config(phibar=0.6, dphi=0.15)
         lock = lock_config(kp=0.5, demod_phase=0.05,
                            disturbance=lambda t: 0.03 * np.sin(TWO_PI * 7.0 * t))
         n = 2 * _LOCK_BLOCK + 17
-        got = _demodulate(state, cfg, lock, 0.9, n)
-        want = _step_reference(state, cfg, lock, 0.9, n)
+        got = _demodulate(mean, cfg, lock, 0.9, n)
+        want = _step_reference(mean, cfg, lock, 0.9, n)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
@@ -300,7 +301,7 @@ class TestBlockedLoop:
         lock = lock_config(duration=4.0)
         tracemalloc.start()
         try:
-            traj = bh.closed_loop_simulate(STATE, het_config(), lock)
+            traj = bh.closed_loop_simulate(MEAN, het_config(), lock)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -331,7 +332,7 @@ class TestBlockedLoop:
         kick = lambda t: 0.05 * np.exp(-((np.asarray(t) - 0.15) / 0.005) ** 2)
         lock = lock_config(duration=n * 2.0 ** -15, lock_tolerance=3e-3,
                            disturbance=kick)
-        traj = bh.closed_loop_simulate(STATE, het_config(), lock)
+        traj = bh.closed_loop_simulate(MEAN, het_config(), lock)
         assert len(traj.time) == n
         assert _LOCK_BLOCK < traj.lock_time / lock.dt < 2 * _LOCK_BLOCK
         got = (traj.locked, traj.lock_time, traj.residual_rms)
@@ -340,7 +341,7 @@ class TestBlockedLoop:
     def test_failed_verdict_matches_full_array_reading(self):
         lock = lock_config(duration=0.3)
         with pytest.raises(LockFailure) as info:
-            bh.closed_loop_simulate(STATE, het_config(), lock)
+            bh.closed_loop_simulate(MEAN, het_config(), lock)
         traj = info.value.trajectory
         locked, lock_time, residual_rms = self._full_array_verdict(
             traj, lock.lock_tolerance)
@@ -353,7 +354,7 @@ class TestBlockedLoop:
         gap = lambda t: np.where(np.asarray(t) < 0.2, 0.0, np.nan)
         lock = lock_config(disturbance=gap)
         with pytest.raises(LockFailure) as info:
-            bh.closed_loop_simulate(STATE, het_config(), lock)
+            bh.closed_loop_simulate(MEAN, het_config(), lock)
         traj = info.value.trajectory
         assert not traj.locked and np.isnan(traj.lock_time)
         assert np.isnan(traj.residual_rms)

@@ -37,6 +37,8 @@ class TestFrequencyGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             bh.frequency_grid(-1.0, 100)
+        with pytest.raises(ValueError, match="omega_max"):
+            bh.frequency_grid(np.inf, 5)  # once [nan nan nan nan inf] and two warnings
         with pytest.raises(ValueError):
             bh.frequency_grid(1.0, 2)
 

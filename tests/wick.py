@@ -10,8 +10,14 @@ Ordering is handled operationally: mixed pair correlators are always
 evaluated with the conjugate (emission) operator on the left, which is
 the arrangement the photodetection moments come in.
 
-``quadrature_correlations_to_gammas`` is the inverse of the library's
-``gammas_to_quadrature_correlations``, for round-trip tests.
+These oracles read a field through ``GaussianFieldState``: its mean
+amplitude plus the complex kernels g11 = <da+(t) da(t+tau)> and
+g20 = <da+(t) da+(t+tau)>.  The library's correlation functions take the
+quadrature kernels instead; ``kernels`` maps a state to them, and
+``quadrature_correlations_to_gammas`` is its inverse, for round-trip
+tests.  ``field_kernel_lambda_prime`` is the time-averaged correlation
+written in the field kernels, the oracle for the library's
+``lambda_prime``.
 
 ``quadrature_mean`` is the finite-difference reference for the library's
 ``quadrature_mean_slope``.  ``mean_photocurrent`` evaluates the full
@@ -20,11 +26,73 @@ projects it numerically onto the demodulation line: the lock oracle that
 the sideband prediction ``error_line_prediction`` is checked against.
 """
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from balhet.field import GaussianFieldState, HeterodyneConfig, QuadratureKernels
+from balhet.field import HeterodyneConfig, QuadratureKernels
 from balhet.locking import (TWO_PI, LockConfig, _folded_cis,
                             _lo_superposition_modulated)
+
+
+@dataclass(frozen=True)
+class GaussianFieldState:
+    """Gaussian state of the detected mode: mean amplitude plus kernels.
+
+    ``gamma11``/``gamma20`` are evaluable kernels of the time lag (seconds),
+    complex-valued, in photons/s.  ``gamma11`` must satisfy
+    ``gamma11(-tau) = conj(gamma11(tau))``; ``gamma20`` is even in tau for
+    the source models used here.
+    """
+
+    mean_amplitude: complex
+    gamma11: Callable
+    gamma20: Callable
+
+
+def coherent_state(mean_amplitude: complex) -> GaussianFieldState:
+    """Coherent state: nonzero mean, vanishing normally-ordered kernels."""
+    zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
+    return GaussianFieldState(complex(mean_amplitude), zero, zero)
+
+
+def kernels(state: GaussianFieldState) -> QuadratureKernels:
+    """Convert the complex field kernels to the four quadrature kernels.
+
+    Inverts the linear relations
+
+        Re g11 = (k11 + k22)/4
+        Im g11 = (k12 - k21)/4
+        Re g20 = (k11 - k22)/4
+        Im g20 = -(k12 + k21)/4
+    """
+    g11, g20 = state.gamma11, state.gamma20
+
+    def k11(tau):
+        return 2.0 * np.real(g11(tau)) + 2.0 * np.real(g20(tau))
+
+    def k22(tau):
+        return 2.0 * np.real(g11(tau)) - 2.0 * np.real(g20(tau))
+
+    def k12(tau):
+        return 2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
+
+    def k21(tau):
+        return -2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
+
+    return QuadratureKernels(k11=k11, k22=k22, k12=k12, k21=k21)
+
+
+def field_kernel_lambda_prime(state: GaussianFieldState, cfg: HeterodyneConfig, tau):
+    """Time-averaged correlation in the field kernels.
+
+    lambda'(tau) = 2 E^2 cos(W tau) 2 Re[g11(tau) + g20(tau) e^{i(phi1+phi2)}]
+    """
+    tau = np.asarray(tau, dtype=float)
+    phase = np.exp(1j * (cfg.phi1 + cfg.phi2))
+    return (2.0 * cfg.amplitude ** 2 * np.cos(cfg.Omega * tau)
+            * 2.0 * np.real(state.gamma11(tau) + state.gamma20(tau) * phase))
 
 
 def _lo_superposition(cfg: HeterodyneConfig, t):
@@ -150,7 +218,7 @@ def strong_oscillator_background(state: GaussianFieldState, cfg: HeterodyneConfi
 def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFieldState:
     """Forward map from quadrature kernels back to the complex field kernels.
 
-    Composing with ``gammas_to_quadrature_correlations`` is the identity
+    Composing with ``kernels`` is the identity
     (up to rounding) in either direction.  The returned state carries zero
     mean amplitude.
     """
@@ -165,13 +233,13 @@ def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFie
     return GaussianFieldState(0j, g11, g20)
 
 
-def quadrature_mean(state: GaussianFieldState, phibar: float) -> float:
+def quadrature_mean(mean: complex, phibar: float) -> float:
     """Mean of the rotated quadrature X(phibar) = X cos(phibar) + P sin(phibar).
 
     With X = a + a+ and P its conjugate quadrature, the mean is
     2 Re<a> cos(phibar) + 2 Im<a> sin(phibar).
     """
-    m = complex(state.mean_amplitude)
+    m = complex(mean)
     return 2.0 * (m.real * np.cos(phibar) + m.imag * np.sin(phibar))
 
 
