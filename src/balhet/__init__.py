@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 from .errors import (AliasRisk, BalhetError, ConfigInvalid, DemodClash,
                      InsufficientAveraging, InsufficientData, LockFailure,
                      NonPhysicalSpectrum, ThresholdDivergence)
-from .field import (HeterodyneConfig, OpoParams, QuadratureKernels,
-                    QuadratureSpectra, opo_field_state, opo_spectra,
-                    quadrature_mean_slope)
+from .field import (HeterodyneConfig, OpoParams, QuadratureBranches,
+                    opo_field_state, opo_spectra, quadrature_mean_slope)
 from .spectral import (SpectralDensity, frequency_grid,
                        heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form, quadrature_noise_spectrum)

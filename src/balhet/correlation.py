@@ -2,9 +2,9 @@
 
 The correlation ``lambda(t, iota)`` of the intensity fluctuations keeps
 only the terms quadratic in the oscillator amplitude (the strong-oscillator
-result the spectral engine uses).  Every function here takes the
-source's ``QuadratureKernels`` and evaluates the correlation through the
-one real kernel of the measured quadrature, ``measured_quadrature``'s mix.
+result the spectral engine uses).  Every function here takes the source's
+kernels as ``QuadratureBranches`` of lag and evaluates the correlation through
+the one real kernel of the measured quadrature, ``measured_quadrature``'s mix.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InsufficientAveraging
-from .field import HeterodyneConfig, QuadratureKernels, measured_quadrature
+from .field import HeterodyneConfig, QuadratureBranches, measured_quadrature
 
 # Samples per beat period used by the time-average quadrature.
 _STEPS_PER_PERIOD = 50
@@ -21,13 +21,7 @@ _STEPS_PER_PERIOD = 50
 MIN_BEAT_PERIODS = 10
 
 
-def _measured_kernel(kernels: QuadratureKernels, cfg: HeterodyneConfig):
-    """Measured-quadrature kernel k11 cos^2 + k22 sin^2 + (k12 + k21) sin cos at phibar."""
-    return measured_quadrature(kernels.k11, kernels.k22,
-                               lambda tau: kernels.k12(tau) + kernels.k21(tau), cfg.phibar)
-
-
-def intensity_correlation(kernels: QuadratureKernels, cfg: HeterodyneConfig,
+def intensity_correlation(kernels: QuadratureBranches, cfg: HeterodyneConfig,
                           t, iota):
     """Strong-oscillator intensity-fluctuation correlation lambda(t, iota).
 
@@ -38,33 +32,33 @@ def intensity_correlation(kernels: QuadratureKernels, cfg: HeterodyneConfig,
         lambda = 4 E^2 cos(Wt + dphi) cos(W(t+i) + dphi) k(i)
                = 2 E^2 k(i) [cos(W i) + cos(W(2t+i) + 2 dphi)]
 
-    with the real kernel k of ``_measured_kernel``, evaluated once.
+    with the real kernel k of ``measured_quadrature`` at phibar, evaluated once.
     """
     t = np.asarray(t, dtype=float)
     iota = np.asarray(iota, dtype=float)
     W = cfg.Omega
     beat = np.cos(W * iota) + np.cos(W * (2.0 * t + iota) + 2.0 * cfg.dphi)
-    return 2.0 * cfg.amplitude ** 2 * _measured_kernel(kernels, cfg)(iota) * beat
+    return 2.0 * cfg.amplitude ** 2 * measured_quadrature(kernels, cfg.phibar)(iota) * beat
 
 
-def lambda_prime(kernels: QuadratureKernels, cfg: HeterodyneConfig, tau):
+def lambda_prime(kernels: QuadratureBranches, cfg: HeterodyneConfig, tau):
     """Time-averaged intensity correlation, closed form.
 
-    lambda'(tau) = 2 E^2 cos(W tau) {k11 cos^2 phibar + k22 sin^2 phibar
-                                     + (k12 + k21) sin phibar cos phibar}
+    lambda'(tau) = 2 E^2 cos(W tau) {xx cos^2 phibar + pp sin^2 phibar
+                                     + cross sin phibar cos phibar}
     """
     tau = np.asarray(tau, dtype=float)
     return (2.0 * cfg.amplitude ** 2 * np.cos(cfg.Omega * tau)
-            * _measured_kernel(kernels, cfg)(tau))
+            * measured_quadrature(kernels, cfg.phibar)(tau))
 
 
-def lambda_prime_quadrature_form(kernels: QuadratureKernels,
+def lambda_prime_quadrature_form(kernels: QuadratureBranches,
                                  cfg: HeterodyneConfig, tau):
     """Time-averaged intensity correlation in the double-angle form.
 
-    lambda'(tau) = E^2 cos(W tau) { k11 (1 + cos 2 phibar)
-                                    + k22 (1 - cos 2 phibar)
-                                    + (k12 + k21) sin 2 phibar }
+    lambda'(tau) = E^2 cos(W tau) { xx (1 + cos 2 phibar)
+                                    + pp (1 - cos 2 phibar)
+                                    + cross sin 2 phibar }
 
     Equals ``lambda_prime`` identically; it evaluates every branch, so
     comparing the two checks the measured-quadrature mix.
@@ -72,8 +66,8 @@ def lambda_prime_quadrature_form(kernels: QuadratureKernels,
     tau = np.asarray(tau, dtype=float)
     c2p = np.cos(2.0 * cfg.phibar)
     s2p = np.sin(2.0 * cfg.phibar)
-    combo = (kernels.k11(tau) * (1.0 + c2p) + kernels.k22(tau) * (1.0 - c2p)
-             + (kernels.k12(tau) + kernels.k21(tau)) * s2p)
+    combo = (kernels.xx(tau) * (1.0 + c2p) + kernels.pp(tau) * (1.0 - c2p)
+             + kernels.cross(tau) * s2p)
     return cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * combo
 
 
@@ -94,7 +88,7 @@ def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> 
                                     f"overflows the beat phase at omega = {Omega}")
 
 
-def time_average_reduce(kernels: QuadratureKernels, cfg: HeterodyneConfig,
+def time_average_reduce(kernels: QuadratureBranches, cfg: HeterodyneConfig,
                         iota: float, T: float) -> float:
     """Average lambda(t, iota) over t in [0, T]; ``lambda_prime`` is its limit.
 

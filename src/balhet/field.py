@@ -12,6 +12,9 @@ Conventions used throughout the package:
 
   in photon-flux units, normally ordered; ``da`` is the zero-mean
   fluctuation part of the mode operator and ``da+`` its conjugate.
+  ``QuadratureBranches`` keeps xx = k11, pp = k22 and cross = k12 + k21:
+  the measured quadrature X cos + P sin weighs k12 and k21 alike, so no
+  observable reads their difference.
 * Spectra are two-sided in angular frequency and use the transform
   ``integral dtau f(tau) exp(+i w tau)``.
 * Every phase is measured from the source's squeezing axis, where ``k11``
@@ -103,33 +106,20 @@ class HeterodyneConfig:
 
 
 @dataclass(frozen=True)
-class QuadratureSpectra:
-    """Two-sided squeezing spectra of the quadrature fluctuations.
+class QuadratureBranches:
+    """A source's quadrature fluctuations, as spectra or as kernels.
 
-    Each field is an evaluable function of angular frequency (rad/s),
-    real-valued, normalized so that ``1 + eta * phi`` is the corresponding
-    floor-normalized homodyne noise level.
+    ``xx``/``pp`` are the X and P auto-terms, ``cross`` the symmetrized cross
+    term; each is real and evaluable.  The spectra phi11, phi22, phi12 + phi21
+    take angular frequency (rad/s), normalized so that ``1 + eta * phi`` is the
+    floor-normalized homodyne noise level; the kernels k11, k22, k12 + k21 take
+    lag (s), in photons/s.  ``opo_spectra`` and ``opo_field_state`` give the
+    parametric oscillator's.
     """
 
-    phi11: Callable
-    phi22: Callable
-    phi12_plus_phi21: Callable
-
-
-@dataclass(frozen=True)
-class QuadratureKernels:
-    """Real correlation kernels of the two quadrature operators.
-
-    ``k11``/``k22`` are the auto-correlations of the amplitude and phase
-    quadratures, ``k12``/``k21`` the cross terms, all functions of lag in
-    photons/s: the time-domain description of a source that the correlation
-    functions take.  ``opo_field_state`` gives the parametric oscillator's.
-    """
-
-    k11: Callable
-    k22: Callable
-    k12: Callable
-    k21: Callable
+    xx: Callable
+    pp: Callable
+    cross: Callable
 
 
 def quadrature_mean_slope(mean: complex, phibar: float) -> float:
@@ -147,21 +137,20 @@ def _zero(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def measured_quadrature(cos2: Callable, sin2: Callable, cross: Callable, phibar: float,
+def measured_quadrature(branches: QuadratureBranches, phibar: float,
                         *, floor: float = 0.0, gain: float = 1.0) -> Callable:
-    """The function floor + gain [cos2 cos^2 + sin2 sin^2 + cross sin cos](phibar).
+    """The function floor + gain [xx cos^2 + pp sin^2 + cross sin cos](phibar).
 
-    The branches are the spectra (phi11, phi22, phi12 + phi21) or the
-    kernels (k11, k22, k12 + k21).  A branch of zero weight is never
-    evaluated, so the anti-squeezed branch of a source at threshold does
-    not poison an amplitude-quadrature measurement.  A cosine or sine
-    within half the float spacing at phibar of zero counts as zero: phibar
-    is then the float nearest a zero of it, so ``phibar = pi/2`` measures P.
+    A branch of zero weight is never evaluated, so the anti-squeezed branch
+    of a source at threshold does not poison an amplitude-quadrature
+    measurement.  A cosine or sine within half the float spacing at phibar
+    of zero counts as zero: phibar is then the float nearest a zero of it,
+    so ``phibar = pi/2`` measures P.
     """
     half_ulp = np.spacing(abs(phibar)) / 2.0
     c, s = (0.0 if abs(v) <= half_ulp else v for v in (np.cos(phibar), np.sin(phibar)))
-    terms = [(gain * w, f) for w, f in ((c ** 2, cos2), (s ** 2, sin2), (s * c, cross))
-             if w != 0.0]
+    terms = [(gain * w, f) for w, f in ((c ** 2, branches.xx), (s ** 2, branches.pp),
+                                        (s * c, branches.cross)) if w != 0.0]
 
     def mixed(x):  # from the floor up, one branch at a time: every spectrum keeps its rounding
         total = np.full(np.shape(x), float(floor))
@@ -172,7 +161,7 @@ def measured_quadrature(cos2: Callable, sin2: Callable, cross: Callable, phibar:
     return mixed
 
 
-def opo_spectra(params: OpoParams) -> QuadratureSpectra:
+def opo_spectra(params: OpoParams) -> QuadratureBranches:
     """Squeezing spectra of the below-threshold parametric oscillator.
 
     The squeezed branch is the Lorentzian
@@ -205,10 +194,10 @@ def opo_spectra(params: OpoParams) -> QuadratureSpectra:
             )
         return (2.0 / eta) * eps * gamma / (km * km + w * w)
 
-    return QuadratureSpectra(phi11=phi11, phi22=phi22, phi12_plus_phi21=_zero)
+    return QuadratureBranches(xx=phi11, pp=phi22, cross=_zero)
 
 
-def opo_field_state(params: OpoParams) -> QuadratureKernels:
+def opo_field_state(params: OpoParams) -> QuadratureBranches:
     """Time-domain quadrature kernels of the parametric-oscillator output.
 
     Inverse transforms of the Lorentzian spectra of ``opo_spectra``:
@@ -242,4 +231,4 @@ def opo_field_state(params: OpoParams) -> QuadratureKernels:
     def k22(tau):
         return scale * np.exp(-km * np.abs(np.asarray(tau, dtype=float))) / km
 
-    return QuadratureKernels(k11=k11, k22=k22, k12=_zero, k21=_zero)
+    return QuadratureBranches(xx=k11, pp=k22, cross=_zero)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonPhysicalSpectrum
-from .field import (HeterodyneConfig, OpoParams, QuadratureSpectra, measured_quadrature,
+from .field import (HeterodyneConfig, OpoParams, QuadratureBranches, measured_quadrature,
                     opo_spectra)
 
 # Frequency bins more negative than this are treated as a physicality
@@ -72,24 +72,23 @@ def _check_physical(chi: np.ndarray) -> None:
         )
 
 
-def quadrature_noise_spectrum(spectra: QuadratureSpectra, phibar: float, eta: float):
+def quadrature_noise_spectrum(spectra: QuadratureBranches, phibar: float, eta: float):
     """Homodyne-normalized noise spectrum of the measured quadrature.
 
     Returns the evaluable function
 
-        S(w) = 1 + eta [phi11 cos^2(phibar) + phi22 sin^2(phibar)
-                        + (phi12 + phi21) sin(phibar) cos(phibar)](w).
+        S(w) = 1 + eta [xx cos^2(phibar) + pp sin^2(phibar)
+                        + cross sin(phibar) cos(phibar)](w).
 
     This is ``measured_quadrature`` with floor 1 and gain eta, so a branch
     of zero weight is never evaluated.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return measured_quadrature(spectra.phi11, spectra.phi22, spectra.phi12_plus_phi21,
-                               phibar, floor=1.0, gain=eta)
+    return measured_quadrature(spectra, phibar, floor=1.0, gain=eta)
 
 
-def heterodyne_spectrum(spectra: QuadratureSpectra, cfg: HeterodyneConfig,
+def heterodyne_spectrum(spectra: QuadratureBranches, cfg: HeterodyneConfig,
                         eta: float, omega_grid) -> SpectralDensity:
     """Floor-normalized heterodyne noise spectrum on a grid.
 
@@ -109,7 +108,7 @@ def heterodyne_spectrum(spectra: QuadratureSpectra, cfg: HeterodyneConfig,
     return SpectralDensity(omega, chi, HETERODYNE_FLOOR, snapshot)
 
 
-def homodyne_spectrum(spectra: QuadratureSpectra, phibar: float, eta: float,
+def homodyne_spectrum(spectra: QuadratureBranches, phibar: float, eta: float,
                       omega_grid) -> SpectralDensity:
     """Floor-normalized homodyne noise spectrum; the Omega -> 0 heterodyne limit."""
     omega = np.asarray(omega_grid, dtype=float)

@@ -6,7 +6,7 @@ import pytest
 import balhet as bh
 from balhet.errors import InsufficientAveraging, ThresholdDivergence
 from test_field import random_state
-from wick import (GaussianFieldState, coherent_state, kernels,
+from wick import (FourKernels, GaussianFieldState, coherent_state, kernels,
                   quadrature_correlations_to_gammas, quadrature_mean,
                   strong_oscillator_background, wick_oracle)
 
@@ -95,12 +95,15 @@ class TestWickOracle:
 
     def test_opo_point_agrees_with_truncation(self):
         # zero-mean source: the two routes differ only by amplitude-free
-        # kernel-squared terms, tiny against the kept quadratic terms
+        # kernel-squared terms, tiny against the kept quadratic terms; the
+        # oscillator's cross kernels are even (zero), so k12 = k21 = cross/2
         params = bh.OpoParams(gamma=1.0, epsilon=0.4, eta=0.8)
         k = bh.opo_field_state(params)
+        half = lambda tau: k.cross(tau) / 2.0
+        state = quadrature_correlations_to_gammas(FourKernels(k.xx, k.pp, half, half))
         cfg = bh.HeterodyneConfig(Omega=1.5, phi1=0.0, phi2=0.0, amplitude=1e3)
         lam = bh.intensity_correlation(k, cfg, 0.0, 0.0)
-        wick = wick_oracle(quadrature_correlations_to_gammas(k), cfg, 0.0, 0.0)
+        wick = wick_oracle(state, cfg, 0.0, 0.0)
         assert wick == pytest.approx(lam, rel=1e-5)
 
     def test_background_cancellation(self):
@@ -155,7 +158,7 @@ class TestLambdaPrime:
         assert cfg.phibar == pytest.approx(0.0)
         k = kernels(state)
         tau = np.linspace(-2, 2, 21)
-        expected = cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * 2.0 * k.k11(tau)
+        expected = cfg.amplitude ** 2 * np.cos(cfg.Omega * tau) * 2.0 * k.xx(tau)
         assert np.allclose(bh.lambda_prime_quadrature_form(k, cfg, tau),
                            expected, atol=1e-13)
 
@@ -168,7 +171,7 @@ class TestLambdaPrime:
         k = kernels(state)
         tau = np.linspace(-2, 2, 17)
         expected = (cfg.amplitude ** 2 * np.cos(cfg.Omega * tau)
-                    * (k.k11(tau) + k.k22(tau) + k.k12(tau) + k.k21(tau)))
+                    * (k.xx(tau) + k.pp(tau) + k.cross(tau)))
         assert np.allclose(bh.lambda_prime_quadrature_form(k, cfg, tau),
                            expected, atol=1e-13)
 
@@ -185,25 +188,34 @@ class TestLambdaPrime:
 
     @pytest.mark.parametrize("phibar, skipped", [(0.0, "k22"), (np.pi / 2, "k11")])
     def test_zero_weight_branch_never_evaluated(self, phibar, skipped):
-        # the time-domain mirror of the spectral skip: at phibar = 0 a k22 that
-        # raises, as the anti-squeezed kernel at threshold would, is never
-        # called, nor k11 at phibar = pi/2, nor the cross kernels at either
-        def diverges(tau):
+        # at phibar = 0 a pp branch (k22, phi22) that raises, as the anti-squeezed
+        # branch at threshold would, is never called, nor xx (k11, phi11) at
+        # phibar = pi/2, nor the cross branch at either: not by the correlation
+        # functions, which read branches of lag, nor by the spectral engine,
+        # which reads the same type as branches of frequency
+        def diverges(x):
             raise ThresholdDivergence("a zero-weight branch was evaluated")
 
-        def kernel(tau):
-            return np.exp(-np.abs(np.asarray(tau, dtype=float)))
+        def branch(x):
+            return np.exp(-np.abs(np.asarray(x, dtype=float)))
 
-        k = bh.QuadratureKernels(**{"k11": kernel, "k22": kernel, skipped: diverges,
-                                    "k12": diverges, "k21": diverges})
+        fields = {"xx": branch, "pp": branch, "cross": diverges}
+        fields[{"k11": "xx", "k22": "pp"}[skipped]] = diverges
+        b = bh.QuadratureBranches(**fields)
         cfg = bh.HeterodyneConfig(Omega=2.0, phi1=phibar, phi2=phibar)
         tau = np.linspace(-2.0, 2.0, 9)
-        assert np.array_equal(bh.lambda_prime(k, cfg, tau),
-                              2.0 * np.cos(2.0 * tau) * kernel(tau))
-        assert np.all(np.isfinite(bh.intensity_correlation(k, cfg, 0.4, tau)))
+        assert np.array_equal(bh.lambda_prime(b, cfg, tau),
+                              2.0 * np.cos(2.0 * tau) * branch(tau))
+        assert np.all(np.isfinite(bh.intensity_correlation(b, cfg, 0.4, tau)))
         T = 20 * np.pi / cfg.Omega
-        assert bh.time_average_reduce(k, cfg, 0.3, T) == pytest.approx(
-            float(bh.lambda_prime(k, cfg, 0.3)), rel=1e-10)
+        assert bh.time_average_reduce(b, cfg, 0.3, T) == pytest.approx(
+            float(bh.lambda_prime(b, cfg, 0.3)), rel=1e-10)
+        w = np.linspace(-3.0, 3.0, 13)
+        hom = bh.homodyne_spectrum(b, phibar, 1.0, w)
+        assert np.array_equal(hom.chi_normalized, 1.0 + branch(w))
+        het = bh.heterodyne_spectrum(b, cfg, 1.0, w)
+        assert np.array_equal(het.chi_normalized,
+                              0.5 * ((1.0 + branch(w + 2.0)) + (1.0 + branch(w - 2.0))))
 
 
 class TestPhaseFrame:

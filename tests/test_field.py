@@ -5,7 +5,8 @@ import pytest
 
 import balhet as bh
 from balhet.errors import ThresholdDivergence
-from wick import GaussianFieldState, kernels, quadrature_correlations_to_gammas, quadrature_mean
+from wick import (FourKernels, GaussianFieldState, four_kernels,
+                  quadrature_correlations_to_gammas, quadrature_mean)
 
 
 def random_state(rng):
@@ -73,36 +74,36 @@ class TestOpoParams:
 class TestOpoSpectra:
     def test_frozen_values(self):
         s = bh.opo_spectra(bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0))
-        assert float(s.phi11(0.0)) == pytest.approx(-1.0, abs=1e-15)
-        assert float(s.phi11(1.0)) == pytest.approx(-0.5, abs=1e-15)
+        assert float(s.xx(0.0)) == pytest.approx(-1.0, abs=1e-15)
+        assert float(s.xx(1.0)) == pytest.approx(-0.5, abs=1e-15)
 
     def test_no_pump_no_squeezing(self):
         s = bh.opo_spectra(bh.OpoParams(gamma=2.0, epsilon=0.0, eta=0.7))
         w = np.linspace(-5, 5, 11)
-        assert np.all(s.phi11(w) == 0.0)
-        assert np.all(s.phi22(w) == 0.0)
+        assert np.all(s.xx(w) == 0.0)
+        assert np.all(s.pp(w) == 0.0)
 
     def test_threshold_divergence(self):
         s = bh.opo_spectra(bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0))
         with pytest.raises(ThresholdDivergence):
-            s.phi22(0.0)
+            s.pp(0.0)
         # fine away from the pole and below threshold
-        assert float(s.phi22(0.3)) > 0
+        assert float(s.pp(0.3)) > 0
         below = bh.opo_spectra(bh.OpoParams(gamma=1.0, epsilon=0.4, eta=1.0))
-        assert float(below.phi22(0.0)) > 0
+        assert float(below.pp(0.0)) > 0
 
     def test_even_in_frequency(self):
         s = bh.opo_spectra(bh.OpoParams(gamma=1.3, epsilon=0.4, eta=0.8))
         w = np.linspace(0.1, 6.0, 40)
-        assert np.array_equal(s.phi11(w), s.phi11(-w))
-        assert np.array_equal(s.phi22(w), s.phi22(-w))
+        assert np.array_equal(s.xx(w), s.xx(-w))
+        assert np.array_equal(s.pp(w), s.pp(-w))
 
     def test_minimum_uncertainty_product(self):
         # (1 + eta phi11)(1 + eta phi22) >= 1 on a grid, below threshold
         for gamma, eps, eta in ((1.0, 0.4, 1.0), (2.0, 0.7, 0.6), (0.5, 0.05, 0.9)):
             s = bh.opo_spectra(bh.OpoParams(gamma=gamma, epsilon=eps, eta=eta))
             w = np.linspace(-10, 10, 201)
-            product = (1 + eta * s.phi11(w)) * (1 + eta * s.phi22(w))
+            product = (1 + eta * s.xx(w)) * (1 + eta * s.pp(w))
             assert np.all(product >= 1.0 - 1e-12)
 
 
@@ -112,7 +113,7 @@ class TestKernelConversions:
         g11 = lambda tau: np.exp(-np.abs(tau)) * (1.0 + 0.5j * np.sign(tau))
         zero = lambda tau: np.zeros_like(np.asarray(tau, dtype=float)) + 0j
         state = GaussianFieldState(0j, g11, zero)
-        k = kernels(state)
+        k = four_kernels(state)
         tau = np.linspace(-3, 3, 31)
         assert np.allclose(k.k11(tau), 2 * np.real(g11(tau)), atol=1e-15)
         assert np.allclose(k.k22(tau), 2 * np.real(g11(tau)), atol=1e-15)
@@ -125,7 +126,7 @@ class TestKernelConversions:
         g11 = lambda tau: np.exp(-np.abs(tau)) + 0j
         g20 = lambda tau: -np.exp(-np.abs(tau)) + 0j
         state = GaussianFieldState(0j, g11, g20)
-        k = kernels(state)
+        k = four_kernels(state)
         tau = np.linspace(-2, 2, 21)
         assert np.allclose(k.k11(tau), 0.0, atol=1e-14)
         assert np.allclose(k.k22(tau), 4 * np.exp(-np.abs(tau)), atol=1e-14)
@@ -137,7 +138,7 @@ class TestKernelConversions:
         tau = np.linspace(-4, 4, 41)
         for _ in range(25):
             state = random_state(rng)
-            k = kernels(state)
+            k = four_kernels(state)
             back = quadrature_correlations_to_gammas(k)
             for a, b in ((state.gamma11, back.gamma11), (state.gamma20, back.gamma20)):
                 ref = np.asarray(a(tau))
@@ -151,9 +152,9 @@ class TestKernelConversions:
         values = {name: rng.normal(size=tau.size) for name in "abcd"}
         interp = {name: (lambda v: (lambda x: np.interp(x, tau, v)))(v)
                   for name, v in values.items()}
-        k = bh.QuadratureKernels(interp["a"], interp["b"], interp["c"], interp["d"])
+        k = FourKernels(interp["a"], interp["b"], interp["c"], interp["d"])
         state = quadrature_correlations_to_gammas(k)
-        back = kernels(state)
+        back = four_kernels(state)
         for name, f in zip("abcd", (back.k11, back.k22, back.k12, back.k21)):
             assert np.max(np.abs(f(tau) - values[name])) <= 1e-12
 
@@ -166,7 +167,7 @@ class TestOpoFieldState:
         k = bh.opo_field_state(params)
         spectra = bh.opo_spectra(params)
         tau = np.linspace(-400.0, 400.0, 2 ** 20 + 1)
-        for kernel, spectrum in ((k.k11, spectra.phi11), (k.k22, spectra.phi22)):
+        for kernel, spectrum in ((k.xx, spectra.xx), (k.pp, spectra.pp)):
             values = kernel(tau)
             for w in (0.0, 0.5, 2.0):
                 ft = np.trapezoid(values * np.cos(w * tau), tau)
@@ -176,15 +177,14 @@ class TestOpoFieldState:
         params = bh.OpoParams(gamma=1.0, epsilon=0.3)
         k = bh.opo_field_state(params)
         tau = np.linspace(-5, 5, 21)
-        assert np.allclose(k.k12(tau), 0.0, atol=1e-15)
-        assert np.allclose(k.k21(tau), 0.0, atol=1e-15)
+        assert np.allclose(k.cross(tau), 0.0, atol=1e-15)
 
     def test_kernel_symmetries(self):
         # the stationary auto-correlations are even in the lag
         k = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.45))
         tau = np.linspace(0.1, 8.0, 30)
-        assert np.allclose(k.k11(-tau), k.k11(tau), atol=1e-15)
-        assert np.allclose(k.k22(-tau), k.k22(tau), atol=1e-15)
+        assert np.allclose(k.xx(-tau), k.xx(tau), atol=1e-15)
+        assert np.allclose(k.pp(-tau), k.pp(tau), atol=1e-15)
 
     def test_threshold_rejected(self):
         with pytest.raises(ThresholdDivergence):
@@ -197,14 +197,14 @@ class TestOpoFieldState:
         # epsilon = 0 scales both kernels, and so the correlation, to exact zero
         k = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.0))
         tau = np.linspace(-5.0, 5.0, 21)
-        assert np.all(k.k11(tau) == 0.0) and np.all(k.k22(tau) == 0.0)
+        assert np.all(k.xx(tau) == 0.0) and np.all(k.pp(tau) == 0.0)
         cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.3, phi2=0.7)
         assert np.all(bh.lambda_prime(k, cfg, tau) == 0.0)
 
     def test_flux_nonnegative(self):
         # the fluctuation flux Re g11(0) = (k11 + k22)(0)/4
         k = bh.opo_field_state(bh.OpoParams(gamma=1.0, epsilon=0.49))
-        assert k.k11(0.0) + k.k22(0.0) >= 0.0
+        assert k.xx(0.0) + k.pp(0.0) >= 0.0
 
 
 class TestHeterodyneConfig:

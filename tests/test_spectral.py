@@ -6,10 +6,10 @@ import pytest
 import balhet as bh
 from balhet.errors import NonPhysicalSpectrum
 
-FLAT = bh.QuadratureSpectra(
-    phi11=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
-    phi22=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
-    phi12_plus_phi21=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
+FLAT = bh.QuadratureBranches(
+    xx=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
+    pp=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
+    cross=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
 )
 
 THRESHOLD_OPO = bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0)
@@ -75,7 +75,7 @@ class TestHeterodyneSpectrum:
         cfg = bh.HeterodyneConfig(Omega=0.8, phi1=np.pi / 2, phi2=np.pi / 2)
         grid = bh.frequency_grid(4.0, 401, include=(0.8,))
         sd = bh.heterodyne_spectrum(spectra, cfg, 1.0, grid)
-        direct = 1.0 + 0.5 * (spectra.phi22(grid + 0.8) + spectra.phi22(grid - 0.8))
+        direct = 1.0 + 0.5 * (spectra.pp(grid + 0.8) + spectra.pp(grid - 0.8))
         assert np.allclose(sd.chi_normalized, direct, atol=1e-14)
         assert np.all(sd.chi_normalized >= 1.0)  # anti-squeezing only adds noise
 
@@ -100,10 +100,10 @@ class TestHeterodyneSpectrum:
         assert np.allclose(sd.chi_normalized, sd.chi_normalized[::-1], atol=1e-14)
 
     def test_nonphysical_rejected(self):
-        bad = bh.QuadratureSpectra(
-            phi11=lambda w: -3.0 * np.ones_like(np.asarray(w, dtype=float)),
-            phi22=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
-            phi12_plus_phi21=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
+        bad = bh.QuadratureBranches(
+            xx=lambda w: -3.0 * np.ones_like(np.asarray(w, dtype=float)),
+            pp=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
+            cross=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
         )
         cfg = bh.HeterodyneConfig(Omega=0.5)
         with pytest.raises(NonPhysicalSpectrum):
@@ -152,8 +152,8 @@ class TestHomodyneSpectrum:
         w = np.linspace(-3, 3, 101)
         phibar = 0.6
         sd = bh.homodyne_spectrum(spectra, phibar, 0.9, w)
-        direct = (1.0 + 0.9 * (spectra.phi11(w) * np.cos(phibar) ** 2
-                               + spectra.phi22(w) * np.sin(phibar) ** 2))
+        direct = (1.0 + 0.9 * (spectra.xx(w) * np.cos(phibar) ** 2
+                               + spectra.pp(w) * np.sin(phibar) ** 2))
         assert np.allclose(sd.chi_normalized, direct, atol=1e-14)
 
 

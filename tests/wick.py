@@ -13,9 +13,10 @@ the arrangement the photodetection moments come in.
 These oracles read a field through ``GaussianFieldState``: its mean
 amplitude plus the complex kernels g11 = <da+(t) da(t+tau)> and
 g20 = <da+(t) da+(t+tau)>.  The library's correlation functions take the
-quadrature kernels instead; ``kernels`` maps a state to them, and
+quadrature kernels instead, as ``QuadratureBranches``; ``kernels`` maps a
+state to them.  ``four_kernels`` keeps k12 and k21 apart, and
 ``quadrature_correlations_to_gammas`` is its inverse, for round-trip
-tests.  ``field_kernel_lambda_prime`` is the time-averaged correlation
+tests: only that round trip reads k12 - k21.  ``field_kernel_lambda_prime`` is the time-averaged correlation
 written in the field kernels, the oracle for the library's
 ``lambda_prime``.
 
@@ -27,11 +28,11 @@ the sideband prediction ``error_line_prediction`` is checked against.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from balhet.field import HeterodyneConfig, QuadratureKernels
+from balhet.field import HeterodyneConfig, QuadratureBranches
 from balhet.locking import (TWO_PI, LockConfig, _folded_cis,
                             _lo_superposition_modulated)
 
@@ -57,7 +58,16 @@ def coherent_state(mean_amplitude: complex) -> GaussianFieldState:
     return GaussianFieldState(complex(mean_amplitude), zero, zero)
 
 
-def kernels(state: GaussianFieldState) -> QuadratureKernels:
+class FourKernels(NamedTuple):
+    """The quadrature kernels k11, k22, k12 and k21 of lag, in photons/s."""
+
+    k11: Callable
+    k22: Callable
+    k12: Callable
+    k21: Callable
+
+
+def four_kernels(state: GaussianFieldState) -> FourKernels:
     """Convert the complex field kernels to the four quadrature kernels.
 
     Inverts the linear relations
@@ -81,7 +91,13 @@ def kernels(state: GaussianFieldState) -> QuadratureKernels:
     def k21(tau):
         return -2.0 * np.imag(g11(tau)) - 2.0 * np.imag(g20(tau))
 
-    return QuadratureKernels(k11=k11, k22=k22, k12=k12, k21=k21)
+    return FourKernels(k11=k11, k22=k22, k12=k12, k21=k21)
+
+
+def kernels(state: GaussianFieldState) -> QuadratureBranches:
+    """The branches the library reads: xx = k11, pp = k22, cross = k12 + k21."""
+    k = four_kernels(state)
+    return QuadratureBranches(xx=k.k11, pp=k.k22, cross=lambda tau: k.k12(tau) + k.k21(tau))
 
 
 def field_kernel_lambda_prime(state: GaussianFieldState, cfg: HeterodyneConfig, tau):
@@ -215,10 +231,10 @@ def strong_oscillator_background(state: GaussianFieldState, cfg: HeterodyneConfi
     return sum(joint[:7]), sum(product[:7])
 
 
-def quadrature_correlations_to_gammas(kernels: QuadratureKernels) -> GaussianFieldState:
+def quadrature_correlations_to_gammas(kernels: FourKernels) -> GaussianFieldState:
     """Forward map from quadrature kernels back to the complex field kernels.
 
-    Composing with ``kernels`` is the identity
+    Composing with ``four_kernels`` is the identity
     (up to rounding) in either direction.  The returned state carries zero
     mean amplitude.
     """
