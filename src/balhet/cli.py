@@ -201,6 +201,7 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
         raise ConfigInvalid("; ".join(errors))
 
     snapshot = {s: dict(parser[s]) for s in parser.sections()}
+    del snapshot["run"]["out"]  # where the artifacts go is not what they hold
     snapshot["run"]["mode"] = mode
     snapshot["run"]["seed"] = str(eff_seed)
 

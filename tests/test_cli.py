@@ -237,15 +237,20 @@ class TestArtifacts:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
+        # the output directory, named by --out or by [run] out, is not hashed
         seeded = ("montecarlo", "--seed", "31")
+        ini = "[montecarlo]\nsegments = 24\nsegment_length = 512\nn_segments_min = 8\n"
         conf = tmp_path / "exp.ini"
-        conf.write_text("[montecarlo]\nsegments = 24\nsegment_length = 512\n"
-                        "n_segments_min = 8\n")
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        conf.write_text(ini)
+        out1, out2, out3, out4 = (tmp_path / f"r{k}" for k in range(1, 5))
         assert run_cli(*seeded, "--config", str(conf), "--out", str(out1)) == 0
         assert run_cli(*seeded, "--config", str(conf), "--out", str(out2)) == 0
-        for name in ("montecarlo.csv", "montecarlo_analytic.csv"):
-            assert read_bytes(out1 / name) == read_bytes(out2 / name)
+        for out in (out3, out4):
+            conf.write_text(f"[run]\nout = {out}\n{ini}")
+            assert run_cli(*seeded, "--config", str(conf)) == 0
+        for name in ("montecarlo.csv", "montecarlo_analytic.csv", "montecarlo_manifest.json"):
+            assert (read_bytes(out1 / name) == read_bytes(out2 / name)
+                    == read_bytes(out3 / name) == read_bytes(out4 / name))
 
     def test_seed_changes_stochastic_output(self, tmp_path):
         conf = tmp_path / "exp.ini"
