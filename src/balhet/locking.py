@@ -79,6 +79,8 @@ class LockConfig:
                              f"got {self.duration}")
         if self.lowpass_cutoff is not None and not 0 < self.lowpass_cutoff < math.inf:
             raise ValueError(f"lowpass_cutoff must lie in (0, inf), got {self.lowpass_cutoff}")
+        if not 0 < self.lock_tolerance < math.inf:
+            raise ValueError(f"lock_tolerance must lie in (0, inf), got {self.lock_tolerance}")
 
     def cutoff(self, cfg: HeterodyneConfig) -> float:
         if self.lowpass_cutoff is not None:

@@ -286,6 +286,7 @@ class TestExitCodes:
         ("lock", "[lock]\ndt = 1e-3\n", "[lock]"),
         ("lock", "[lock]\ntheta = 1.5\n", "[lock]"),
         ("lock", "[lock]\nlowpass_cutoff = nan\n", "[lock] lowpass_cutoff"),
+        ("lock", "[lock]\nlock_tolerance = 0\n", "[lock] lock_tolerance"),
         ("spectrum", "[grid]\npoints = 2\n", "[grid] points"),
         ("figure3", "[grid]\npoints = 2\n", "[grid] points"),
         ("spectrum", "[grid]\nomega_max = inf\n", "[grid] omega_max"),
@@ -340,7 +341,8 @@ class TestExitCodes:
          "[opo] gamma: cannot parse '%(nothing)s'"),
         # the subcommand names the mode; a config cannot contradict it
         ("spectrum", "[run]\nmode = lock\n", "unknown key 'mode' in section [run]"),
-    ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "spectrum_points",
+    ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "lock_tolerance_zero",
+            "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
             "beta_removed", "sample_rate", "correlation_omega_zero",
             "correlation_points", "seed_negative", "seed_override_negative", "demod_clash",

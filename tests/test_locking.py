@@ -184,6 +184,13 @@ class TestErrorSignal:
         with pytest.raises(ValueError, match="lowpass_cutoff"):
             lock_config(lowpass_cutoff=cutoff)
 
+    @pytest.mark.parametrize("tolerance", [-1e-3, 0.0, math.nan, math.inf])
+    def test_tolerance_outside_open_half_line_refused(self, tolerance):
+        # zero or a negative tolerance once ran the whole loop and reported
+        # a loop that had settled as "did not settle"
+        with pytest.raises(ValueError, match="lock_tolerance"):
+            lock_config(lock_tolerance=tolerance)
+
     def test_clash_is_part_of_the_lock_check(self):
         lock = lock_config(lowpass_cutoff=TWO_PI * (F_HET - F_MOD))
         with pytest.raises(DemodClash, match="lowpass_cutoff: must lie below"):
