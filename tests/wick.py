@@ -16,9 +16,9 @@ g20 = <da+(t) da+(t+tau)>.  The library's correlation functions take the
 quadrature kernels instead, as ``QuadratureBranches``; ``kernels`` maps a
 state to them.  ``four_kernels`` keeps k12 and k21 apart, and
 ``quadrature_correlations_to_gammas`` is its inverse, for round-trip
-tests: only that round trip reads k12 - k21.  ``field_kernel_lambda_prime`` is the time-averaged correlation
-written in the field kernels, the oracle for the library's
-``lambda_prime``.
+tests: only that round trip reads k12 - k21.  ``field_kernel_lambda_prime``
+is the time-averaged correlation written in the field kernels, the oracle
+for the library's ``lambda_prime``.
 
 ``quadrature_mean`` is the finite-difference reference for the library's
 ``quadrature_mean_slope``.  ``mean_photocurrent`` evaluates the full
