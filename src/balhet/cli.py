@@ -35,7 +35,7 @@ from .locking import LockConfig, closed_loop_simulate, validate_lock
 from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
                          monte_carlo_homodyne)
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
-from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
+from .spectral import (check_grid, frequency_grid, heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form)
 from .svgplot import Panel, write_svg
 
@@ -151,8 +151,13 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
                    window=parser.get("montecarlo", "window"),
                    n_segments_min=i("montecarlo", "n_segments_min"))
 
-    grid_omega_max = f("grid", "omega_max", _POSITIVE)
-    grid_points = i("grid", "points", (lambda v: v >= 3, "at least 3"))
+    grid_omega_max, grid_points = f("grid", "omega_max"), i("grid", "points")
+    if mode == "spectrum":
+        _check(errors, "[grid]", check_grid, grid_omega_max, grid_points)
+    top = max(FIGURE3_RATIOS.values())  # figure3's widest grid, panel (c)'s, bounds the rest
+    if mode == "figure3" and opo:
+        _check(errors, f"[opo] gamma and [grid] points (grid to 3 * gamma + {top} * gamma):",
+               check_grid, 3.0 * opo.gamma + top * opo.gamma, grid_points)
     mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
     overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
     mc_segments = i("montecarlo", "segments")
@@ -161,7 +166,6 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
             _check(errors, "[montecarlo]", welch.total_samples, mc_segments)
         if mc_sample_rate and het and mode == "montecarlo":
             _check(errors, "[heterodyne] omega:", check_alias, het.Omega, mc_sample_rate)
-        top = max(FIGURE3_RATIOS.values())
         if mc_sample_rate and opo and mode == "figure3":
             _check(errors, f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
                    mc_sample_rate)

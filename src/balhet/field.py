@@ -61,8 +61,8 @@ class OpoParams:
                 f"epsilon must lie in [0, gamma/2] = [0, {self.gamma / 2.0}], "
                 f"got {self.epsilon}"
             )
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        if not (0.0 < self.eta <= 1.0 and 2.0 / self.eta < np.inf):
+            raise ValueError(f"eta must lie in (0, 1] with 2/eta finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -145,20 +145,43 @@ def measured_quadrature(branches: QuadratureBranches, phibar: float,
     of a source at threshold does not poison an amplitude-quadrature
     measurement.  A cosine or sine within half the float spacing at phibar
     of zero counts as zero: phibar is then the float nearest a zero of it,
-    so ``phibar = pi/2`` measures P.
+    so ``phibar = pi/2`` measures P.  The result equals another built from
+    equal branches, weights and floor.
     """
     half_ulp = np.spacing(abs(phibar)) / 2.0
     c, s = (0.0 if abs(v) <= half_ulp else v for v in (np.cos(phibar), np.sin(phibar)))
-    terms = [(gain * w, f) for w, f in ((c ** 2, branches.xx), (s ** 2, branches.pp),
-                                        (s * c, branches.cross)) if w != 0.0]
+    return _Mixed(float(floor), tuple((gain * w, f) for w, f in (
+        (c ** 2, branches.xx), (s ** 2, branches.pp), (s * c, branches.cross)) if w != 0.0))
 
-    def mixed(x):  # from the floor up, one branch at a time: every spectrum keeps its rounding
-        total = np.full(np.shape(x), float(floor))
-        for w, f in terms:
+
+@dataclass(frozen=True)
+class _Mixed:
+    """floor + the sum of weight * branch over ``terms``, compared by value; summed
+    from the floor up, one branch at a time, so every spectrum keeps its rounding."""
+
+    floor: float
+    terms: tuple
+
+    def __call__(self, x):
+        total = np.full(np.shape(x), self.floor)
+        for w, f in self.terms:
             total = total + w * f(x)
         return total
 
-    return mixed
+
+@dataclass(frozen=True)
+class _Lorentzian:
+    """The branch scale / (rate^2 + w^2) of angular frequency w, compared by value."""
+
+    scale: float
+    rate: float
+
+    def __call__(self, w):
+        w = np.asarray(w, dtype=float)
+        if self.rate == 0.0 and np.any(w == 0.0):
+            raise ThresholdDivergence(
+                "anti-squeezed spectrum diverges at w = 0 for a pump at threshold")
+        return self.scale / (self.rate * self.rate + w * w)
 
 
 def opo_spectra(params: OpoParams) -> QuadratureBranches:
@@ -179,22 +202,9 @@ def opo_spectra(params: OpoParams) -> QuadratureBranches:
     ThresholdDivergence.
     """
     gamma, eps, eta = params.gamma, params.epsilon, params.eta
-    kp = gamma / 2.0 + eps
-    km = gamma / 2.0 - eps
-
-    def phi11(w):
-        w = np.asarray(w, dtype=float)
-        return -(2.0 / eta) * eps * gamma / (kp * kp + w * w)
-
-    def phi22(w):
-        w = np.asarray(w, dtype=float)
-        if km == 0.0 and np.any(w == 0.0):
-            raise ThresholdDivergence(
-                "anti-squeezed spectrum diverges at w = 0 for a pump at threshold"
-            )
-        return (2.0 / eta) * eps * gamma / (km * km + w * w)
-
-    return QuadratureBranches(xx=phi11, pp=phi22, cross=_zero)
+    return QuadratureBranches(xx=_Lorentzian(-(2.0 / eta) * eps * gamma, gamma / 2.0 + eps),
+                              pp=_Lorentzian((2.0 / eta) * eps * gamma, gamma / 2.0 - eps),
+                              cross=_zero)
 
 
 def opo_field_state(params: OpoParams) -> QuadratureBranches:

@@ -103,8 +103,8 @@ def check_alias(Omega: float, fs: float) -> None:
         raise AliasRisk(f"beat offset {Omega} must lie below the alias limit {limit}")
 
 
-# The last seeded synthesis, replaced whole as (key, PSD samples, samples),
-# so a repeat request (figure3's four panels per seed) skips the transform.
+# The last seeded synthesis, replaced whole as (key, samples), so a repeat
+# request (figure3's four panels per seed) skips the transform.
 _last = None
 
 
@@ -128,7 +128,10 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     next 5-smooth length and truncated to ``n``; a stationary circular
     series stays stationary when truncated.
     The returned samples are read-only: a repeat call with the same
-    ``n``, ``fs``, integer seed and PSD samples returns the same array.
+    ``n``, ``fs``, integer seed and an equal ``psd`` returns the same array
+    without evaluating ``psd``.  The spectra of ``quadrature_noise_spectrum``
+    compare by value; other callables compare by identity, so a fresh one
+    with equal values recomputes the same bytes.
     """
     global _last
     if n < 2:
@@ -136,50 +139,43 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     if not 0.0 < fs < np.inf:
         raise ValueError(f"fs must be positive and finite, got {fs}")
     m = _fast_length(n)
-    key = (n, fs, seed) if isinstance(seed, (int, np.integer)) else None
+    key = (n, fs, seed, psd) if isinstance(seed, (int, np.integer)) else None
     last = _last
-    if key is not None and last is not None and last[0] == key and all(
-            np.min(v) >= -_NEGATIVE_TOL and np.all(np.clip(v, 0.0, None) == last[1][part])
-            for part, v in _target_slices(psd, m, fs)):
-        return TimeSeries(sample_rate=fs, samples=last[2], seed=seed)
-    # a miss refills the memo's PSD buffer in place, so that buffer never moves on the heap
-    s = last[1] if last is not None and len(last[1]) == m // 2 + 1 else np.empty(m // 2 + 1)
-    _last = None
+    if key is not None and last is not None and last[0] == key:
+        return TimeSeries(sample_rate=fs, samples=last[1], seed=seed)
+    _last = last = None  # free the old series before allocating the new one
+    # the PSD is sampled into the gain row; all real parts are drawn before all
+    # imaginary parts into the draw row.  As two heap chunks, heap slack decided their trim.
+    gain, draw = np.empty((2, m // 2 + 1))
     for part, v in _target_slices(psd, m, fs):
-        s[part] = v
+        gain[part] = v
     del v  # the last slice, left alive, would pin the top of the heap
-    if not np.min(s) >= -_NEGATIVE_TOL:
-        raise NonPhysicalSpectrum(
-            f"target PSD reaches {np.min(s)} on the synthesis grid"
-        )
-    if not float(np.max(s)) * m < np.inf:  # gain sqrt(m s / 2) overflows; float() avoids a warning
-        raise NonPhysicalSpectrum(f"target PSD reaches {np.max(s)} on the synthesis grid, "
+    if not np.min(gain) >= -_NEGATIVE_TOL:
+        raise NonPhysicalSpectrum(f"target PSD reaches {np.min(gain)} on the synthesis grid")
+    if not float(np.max(gain)) * m < np.inf:  # sqrt(m s / 2) overflows; float() avoids a warning
+        raise NonPhysicalSpectrum(f"target PSD reaches {np.max(gain)} on the synthesis grid, "
                                   f"too large for a {m}-point synthesis")
-    np.clip(s, 0.0, None, out=s)
-    last = None  # free the old series before allocating the new one
-
-    # all real parts are drawn before all imaginary parts; one buffer holds each in turn.
-    # gain and draw share one block; as two heap chunks, heap slack decided their trim.
-    rng = np.random.default_rng(seed)
-    gain, draw = np.empty((2, len(s)))
-    np.multiply(m, s, out=gain)
+    np.clip(gain, 0.0, None, out=gain)
+    s_dc, s_nyquist = gain[0], gain[-1]
+    np.multiply(m, gain, out=gain)
     gain /= 2.0
     np.sqrt(gain, out=gain)
-    coef = np.empty(len(s), dtype=complex)
+    rng = np.random.default_rng(seed)
+    coef = np.empty(len(gain), dtype=complex)
     rng.standard_normal(out=draw)
     dc, nyquist = draw[0], draw[-1]
     np.multiply(gain, draw, out=coef.real)
     rng.standard_normal(out=draw)
     np.multiply(gain, draw, out=coef.imag)
     del gain, draw
-    coef[0] = np.sqrt(m * s[0]) * dc  # DC bin is real
+    coef[0] = np.sqrt(m * s_dc) * dc  # DC bin is real
     if m % 2 == 0:
-        coef[-1] = np.sqrt(m * s[-1]) * nyquist  # Nyquist bin is real
+        coef[-1] = np.sqrt(m * s_nyquist) * nyquist  # Nyquist bin is real
     samples = np.fft.irfft(coef, m)[:n]
     del coef
     samples.flags.writeable = False
     if key is not None:
-        _last = (key, s, samples)
+        _last = (key, samples)
     return TimeSeries(sample_rate=fs, samples=samples, seed=seed)
 
 

@@ -41,6 +41,14 @@ class SpectralDensity:
     sigma: np.ndarray | None = None
 
 
+def check_grid(omega_max: float, points: int) -> None:
+    """Refuse a grid that ``frequency_grid`` cannot build, before allocating it."""
+    if not (0 < omega_max and 2.0 * omega_max < np.inf):  # linspace overflows the span
+        raise ValueError(f"omega_max must be positive with 2 * omega_max finite, got {omega_max}")
+    if points < 3:
+        raise ValueError(f"points must be at least 3, got {points}")
+
+
 def frequency_grid(omega_max: float, points: int, include=()) -> np.ndarray:
     """Symmetric two-sided grid on [-omega_max, omega_max].
 
@@ -48,10 +56,7 @@ def frequency_grid(omega_max: float, points: int, include=()) -> np.ndarray:
     exactly; the extrema of split heterodyne spectra sit at +/-Omega, so
     grids for those curves should include the offset.
     """
-    if not 0 < omega_max < np.inf:
-        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
-    if points < 3:
-        raise ValueError(f"need at least 3 grid points, got {points}")
+    check_grid(omega_max, points)
     grid = np.linspace(-omega_max, omega_max, int(points))
     extra = []
     for w in include:

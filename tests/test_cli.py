@@ -290,6 +290,11 @@ class TestExitCodes:
         ("spectrum", "[grid]\npoints = 2\n", "[grid] points"),
         ("figure3", "[grid]\npoints = 2\n", "[grid] points"),
         ("spectrum", "[grid]\nomega_max = inf\n", "[grid] omega_max"),
+        # a finite grid whose span 2 * omega_max overflows, set directly or by gamma
+        ("spectrum", "[grid]\nomega_max = 1e308\n", "[grid] omega_max"),
+        ("figure3", "[opo]\ngamma = 1e308\n", "[opo] gamma"),
+        ("figure3", "[opo]\ngamma = 2e307\n", "[opo] gamma"),
+        ("spectrum", "[opo]\neta = 1e-320\n", "[opo] eta"),
         ("spectrum", "[heterodyne]\nomega = nan\n", "[heterodyne] omega"),
         ("spectrum", "[heterodyne]\nomega0 = 0.0\n", "[heterodyne]"),
         ("spectrum", "[heterodyne]\nbeta = 0.3\n", "[heterodyne]"),
@@ -343,7 +348,9 @@ class TestExitCodes:
         ("spectrum", "[run]\nmode = lock\n", "unknown key 'mode' in section [run]"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "lock_tolerance_zero",
             "spectrum_points",
-            "figure3_points", "omega_max_inf", "omega_nan", "omega0_removed",
+            "figure3_points", "omega_max_inf", "omega_max_span_overflow",
+            "figure3_gamma_grid_overflow", "figure3_gamma_grid_span_overflow",
+            "eta_inverse_overflow", "omega_nan", "omega0_removed",
             "beta_removed", "sample_rate", "correlation_omega_zero",
             "correlation_points", "seed_negative", "seed_override_negative", "demod_clash",
             "montecarlo_alias", "figure3_overlay_alias", "segments_below_min",

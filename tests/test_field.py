@@ -70,6 +70,12 @@ class TestOpoParams:
             bh.OpoParams(gamma=1.0, epsilon=0.2, eta=1.5)
         bh.OpoParams(gamma=1.0, epsilon=0.5)  # threshold itself is allowed
 
+    def test_eta_whose_inverse_overflows_refused(self):
+        # 2/eta = inf once turned every spectrum into [-inf, -inf]
+        with pytest.raises(ValueError, match="2/eta finite, got 1e-320"):
+            bh.OpoParams(gamma=1.0, epsilon=0.2, eta=1e-320)
+        bh.OpoParams(gamma=1.0, epsilon=0.2, eta=1e-300)
+
 
 class TestOpoSpectra:
     def test_frozen_values(self):

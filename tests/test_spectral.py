@@ -42,6 +42,37 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             bh.frequency_grid(1.0, 2)
 
+    def test_overflowing_span_refused(self):
+        # linspace's span 2 * omega_max once overflowed to [nan, inf, ...]
+        with pytest.raises(ValueError, match="2 \\* omega_max finite, got 1e\\+308"):
+            bh.frequency_grid(1e308, 1001)
+        top = np.nextafter(np.finfo(float).max / 2.0, 0.0)
+        assert np.all(np.isfinite(bh.frequency_grid(top, 1001)))
+
+
+class TestSpectrumEquality:
+    """The measured-quadrature spectrum compares by value, so it can key a memo.
+
+    It compares the constants it evaluates, so a move that rounding absorbs
+    (2/eta at eta = 0.8 and the float below it) leaves equal spectra.
+    """
+
+    BASE = dict(gamma=1.3, epsilon=0.4, eta=0.6, phibar=0.3, gain=0.6)
+
+    @staticmethod
+    def spectrum(gamma, epsilon, eta, phibar, gain):
+        params = bh.OpoParams(gamma=gamma, epsilon=epsilon, eta=eta)
+        return bh.quadrature_noise_spectrum(bh.opo_spectra(params), phibar, gain)
+
+    def test_equal_arguments_give_equal_spectra(self):
+        a, b = self.spectrum(**self.BASE), self.spectrum(**self.BASE)
+        assert a is not b and a == b
+
+    @pytest.mark.parametrize("name", ["gamma", "epsilon", "eta", "gain"])
+    def test_one_float_apart_gives_unequal_spectra(self, name):
+        moved = {**self.BASE, name: np.nextafter(self.BASE[name], 0.0)}
+        assert self.spectrum(**moved) != self.spectrum(**self.BASE)
+
 
 class TestHeterodyneSpectrum:
     def test_shot_noise_floor(self):
