@@ -324,8 +324,8 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
     estimators.append(lambda seed: monte_carlo_homodyne(
         cfg.opo, 0.0, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, seed))
 
-    # Seed-major: all four panels read the same phibar = 0 quadrature
-    # series, so the synthesis memo turns three of every four into hits.
+    # Seed-major: all four panels build equal phibar = 0 spectra, and the
+    # synthesis memo keys on the spectrum, so three of every four are hits.
     omega, chi_sums = None, [0.0] * len(estimators)
     for k in range(cfg.overlay_seeds):
         for j, estimate in enumerate(estimators):
