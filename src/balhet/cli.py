@@ -286,8 +286,10 @@ def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
 def run_lock(cfg: ExperimentConfig) -> tuple[list, list]:
     trajectory = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne, cfg.lock,
                                       eta=cfg.opo.eta)
-    stride = max(1, len(trajectory.time) // 4000)
-    t = trajectory.time[::stride]
+    n = len(trajectory.phibar)
+    stride = max(1, n // 4000)
+    # the decimated axis directly: trajectory.time would build all n steps
+    t = np.arange(0, n, stride, dtype=float) * trajectory.dt
     phibar, error = trajectory.phibar[::stride], trajectory.error_signal[::stride]
     summary = {"locked": trajectory.locked, "lock_time": trajectory.lock_time,
                "lock_point": trajectory.lock_point,

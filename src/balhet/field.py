@@ -54,8 +54,8 @@ class OpoParams:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not (0.0 < self.gamma / 2.0 and self.gamma < np.inf):  # 5e-324 / 2 is 0
+            raise ValueError(f"gamma must be finite with gamma/2 > 0, got {self.gamma}")
         if not 0.0 <= self.epsilon <= self.gamma / 2.0:
             raise ValueError(
                 f"epsilon must lie in [0, gamma/2] = [0, {self.gamma / 2.0}], "

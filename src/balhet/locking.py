@@ -104,15 +104,22 @@ class BesselTruncation:
 
 @dataclass(frozen=True)
 class LockTrajectory:
-    """Closed-loop record: phase, error signal, and lock verdict."""
+    """Closed-loop record: phase, error signal, and lock verdict.
 
-    time: np.ndarray
+    The loop's step ``dt`` fixes the time axis, so ``time`` is derived.
+    """
+
+    dt: float
     phibar: np.ndarray
     error_signal: np.ndarray
     locked: bool
     lock_time: float
     lock_point: float
     residual_rms: float
+
+    @property
+    def time(self) -> np.ndarray:
+        return np.arange(len(self.phibar), dtype=float) * self.dt
 
 
 def bessel_truncation(theta: float) -> BesselTruncation:
@@ -192,6 +199,22 @@ def error_line_prediction(mean: complex, cfg: HeterodyneConfig,
     return amp * np.exp(1j * cfg.dphi) / 2j
 
 
+def _block_inputs(cfg: HeterodyneConfig, lock: LockConfig, mean_conj: complex,
+                  eta: float, t):
+    """Zip one block's feedback-independent step inputs, each a list of floats.
+
+    The arrays die on return, so the step loop holds only the lists.
+    """
+    nu = cfg.Omega - lock.Omega_prime
+    c0 = _lo_superposition_modulated(cfg, lock, t)
+    base = eta * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
+    beat = mean_conj * c0
+    ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
+    disturb = np.asarray((lock.disturbance or np.zeros_like)(t), float) * np.ones_like(t)
+    return zip(base.tolist(), beat.real.tolist(), beat.imag.tolist(), ref.tolist(),
+               disturb.tolist())
+
+
 def _demodulate(mean: complex, cfg: HeterodyneConfig,
                 lock: LockConfig, eta: float, n: int):
     """Mix, low-pass and PI-correct ``n`` steps of the phase lock.
@@ -201,18 +224,17 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
     the reference ``-2 sin((Omega - Omega')t + demod_phase)``, low-pass,
     and apply the PI law; the actuator shifts both oscillator phases
     equally, moving phibar while leaving dphi untouched.  Zero gains give
-    the open-loop error signal.  Returns ``(t, phibar, error)``.  Callers
+    the open-loop error signal.  Returns ``(phibar, error)``.  Callers
     check the settings with ``validate_lock`` first.
     """
-    nu = cfg.Omega - lock.Omega_prime
     cutoff = lock.cutoff(cfg)
 
     # The feedback-independent pieces are vectorized one block at a time,
-    # so the loop holds only its three returned arrays plus one block.  The
-    # actuator and disturbance enter both oscillator phases as a common
-    # factor exp(i psi), so the beat against the mean field is b0 exp(i psi)
-    # and 2 Re(b0 exp(i psi)) = 2 (br cos psi - bi sin psi), rounded as
-    # complex multiplication rounds it.
+    # so the loop holds only its two returned arrays plus one block's input
+    # and output lists.  The actuator and disturbance enter both oscillator
+    # phases as a common factor exp(i psi), so the beat against the mean
+    # field is b0 exp(i psi) and 2 Re(b0 exp(i psi)) = 2 (br cos psi - bi
+    # sin psi), rounded as complex multiplication rounds it.
     mean_conj = eta * np.conj(complex(mean))
     alpha = 1.0 - math.exp(-cutoff * lock.dt)
     dt, kp, ki, phibar0 = lock.dt, lock.kp, lock.ki, cfg.phibar
@@ -225,17 +247,10 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
     filt = 0.0
     for j in range(0, n, _LOCK_BLOCK):
         k = min(_LOCK_BLOCK, n - j)
-        t = np.arange(j, j + k) * dt
-        c0 = _lo_superposition_modulated(cfg, lock, t)
-        base = eta * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
-        beat = mean_conj * c0
-        ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
-        disturb = np.asarray((lock.disturbance or np.zeros_like)(t), float) * np.ones_like(t)
         phibar_b = []
         error_b = []
-        for b, br, bi, r, d in zip(base.tolist(), beat.real.tolist(),
-                                   beat.imag.tolist(), ref.tolist(),
-                                   disturb.tolist()):
+        for b, br, bi, r, d in _block_inputs(cfg, lock, mean_conj, eta,
+                                             np.arange(j, j + k) * dt):
             psi = u + d
             j_ac = b + 2.0 * (br * cos(psi) - bi * sin(psi))
             filt += alpha * (j_ac * r - filt)
@@ -245,9 +260,7 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
             error_b.append(filt)
         phibar[j:j + k] = phibar_b
         error[j:j + k] = error_b
-    t = np.arange(n, dtype=float)
-    t *= dt
-    return t, phibar, error
+    return phibar, error
 
 
 def error_signal(mean: complex, cfg: HeterodyneConfig,
@@ -266,7 +279,7 @@ def error_signal(mean: complex, cfg: HeterodyneConfig,
     n_avg = max(1, int(round(average_time / lock.dt)))
     n_settle = int(math.ceil(settle_time / lock.dt))
     open_loop = replace(lock, kp=0.0, ki=0.0, disturbance=None)
-    _, _, error = _demodulate(mean, cfg, open_loop, eta, n_settle + n_avg)
+    _, error = _demodulate(mean, cfg, open_loop, eta, n_settle + n_avg)
     return float(np.mean(error[n_settle:]))
 
 
@@ -287,13 +300,13 @@ def closed_loop_simulate(mean: complex, cfg: HeterodyneConfig,
     """
     validate_lock(cfg, lock)
     n = int(round(lock.duration / lock.dt))
-    t, phibar, error = _demodulate(mean, cfg, lock, eta, n)
+    phibar, error = _demodulate(mean, cfg, lock, eta, n)
 
     m = complex(mean)
     if m == 0:
         raise LockFailure(
             "zero-mean field produces no error signal; nothing to lock to",
-            trajectory=LockTrajectory(t, phibar, error, False, math.nan,
+            trajectory=LockTrajectory(lock.dt, phibar, error, False, math.nan,
                                       math.nan, float(np.std(phibar))),
         )
 
@@ -310,8 +323,8 @@ def closed_loop_simulate(mean: complex, cfg: HeterodyneConfig,
     tail = max(1, n // 10)
     locked = last_out < n - tail
     residual_rms = float(np.sqrt(np.mean(_wrap_angle(phibar[-tail:] - target) ** 2)))
-    lock_time = float(t[last_out + 1]) if locked else math.nan
-    trajectory = LockTrajectory(t, phibar, error, locked, lock_time,
+    lock_time = (last_out + 1) * lock.dt if locked else math.nan
+    trajectory = LockTrajectory(lock.dt, phibar, error, locked, lock_time,
                                 target, residual_rms)
     if not locked:
         raise LockFailure(

@@ -1,6 +1,7 @@
 """CLI: config validation, artifact schemas, determinism, exit codes."""
 
 import configparser
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
 from balhet.errors import ConfigInvalid, NonPhysicalSpectrum
 from balhet.locking import closed_loop_simulate
-from balhet.serialize import write_table_csv
+from balhet.serialize import config_hash, write_table_csv
 
 
 HUGE_SOURCE = "[opo]\ngamma = 1e300\nepsilon = 0.3e300\n"
@@ -473,6 +474,19 @@ class TestExitCodes:
         assert err.count("\n") == (code == 3) and err.startswith("error: " if code else "")
         assert (tmp_path / "o").exists() == (code == 0)
 
+    def test_gamma_whose_half_underflows_is_two(self, tmp_path, capsys):
+        # gamma / 2 rounds to 0, so epsilon = 0 sat at threshold: this once exited 3
+        # with "anti-squeezed spectrum diverges at w = 0 for a pump at threshold"
+        conf = tmp_path / "exp.ini"
+        conf.write_text("[opo]\ngamma = 5e-324\nepsilon = 0\n")
+        assert run_cli("spectrum", "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [opo] gamma") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+        # the half of 1e-323 is the smallest subnormal, not 0
+        conf.write_text("[opo]\ngamma = 1e-323\nepsilon = 0\n")
+        assert load_config(str(conf), mode="spectrum").opo.gamma == 1e-323
+
     def test_failed_overlay_writes_nothing(self, tmp_path, capsys):
         # the overlay once ran after the four panel CSVs were written
         conf = tmp_path / "exp.ini"
@@ -497,6 +511,17 @@ class TestExitCodes:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")
         assert run_cli("spectrum", "--out", str(blocker / "sub")) == 4
+
+
+@pytest.mark.parametrize("mapping", [
+    load_config(None, mode="spectrum").snapshot,
+    {},
+    {"b": [1, 2.5, None], "a": {"z": "\u00fc", "y": 1 + 2j}},
+], ids=["reference", "empty", "nested"])
+def test_config_hash_is_sha256(mapping):
+    # every "# config_hash:" line is the first 12 hex digits of the canonical JSON's SHA-256
+    canonical = json.dumps(mapping, sort_keys=True, separators=(",", ":"), default=str)
+    assert config_hash(mapping) == hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 # each "## Command line" invocation of the README: argv, config, artifacts

@@ -76,6 +76,12 @@ class TestOpoParams:
             bh.OpoParams(gamma=1.0, epsilon=0.2, eta=1e-320)
         bh.OpoParams(gamma=1.0, epsilon=0.2, eta=1e-300)
 
+    def test_gamma_whose_half_underflows_refused(self):
+        # 5e-324 / 2 rounds to 0; this once ran and blamed a pump at threshold
+        with pytest.raises(ValueError, match="gamma/2 > 0, got 5e-324"):
+            bh.OpoParams(gamma=5e-324, epsilon=0.0)
+        assert bh.OpoParams(gamma=1e-323, epsilon=0.0).gamma / 2.0 == 5e-324
+
 
 class TestOpoSpectra:
     def test_frozen_values(self):

@@ -300,11 +300,11 @@ class TestBlockedLoop:
         n = 2 * _LOCK_BLOCK + 17
         got = _demodulate(mean, cfg, lock, 0.9, n)
         want = _step_reference(mean, cfg, lock, 0.9, n)
-        for g, w in zip(got, want):
+        for g, w in zip(got, want[1:], strict=True):  # (phibar, error); the time is derived
             assert np.array_equal(g, w)
 
     def test_loop_memory_bounded(self):
-        # the loop keeps its returned arrays plus one block of work
+        # the loop keeps its two returned arrays plus one block of work; no time axis
         lock = lock_config(duration=4.0)
         tracemalloc.start()
         try:
@@ -312,9 +312,8 @@ class TestBlockedLoop:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traj.time) == 2 ** 17
-        returned = traj.time.nbytes + traj.phibar.nbytes + traj.error_signal.nbytes
-        assert peak <= returned + 2 ** 20
+        assert len(traj.phibar) == 2 ** 17
+        assert peak <= traj.phibar.nbytes + traj.error_signal.nbytes + 2 ** 20
 
     @staticmethod
     def _full_array_verdict(traj, tol):
@@ -332,14 +331,29 @@ class TestBlockedLoop:
             lock_time = float(traj.time[first])
         return locked, lock_time, residual_rms
 
-    def test_verdict_matches_full_array_reading(self):
+    @staticmethod
+    def _kicked_run():
         # a kick at 0.15 s leaves the last out-of-tolerance step in the
         # second block; the run ends in a partial third one
         n = 2 * _LOCK_BLOCK + 17
         kick = lambda t: 0.05 * np.exp(-((np.asarray(t) - 0.15) / 0.005) ** 2)
         lock = lock_config(duration=n * 2.0 ** -15, lock_tolerance=3e-3,
                            disturbance=kick)
-        traj = bh.closed_loop_simulate(MEAN, het_config(), lock)
+        return n, lock, bh.closed_loop_simulate(MEAN, het_config(), lock)
+
+    def test_time_axis_derived_bit_for_bit(self):
+        # the derived axis is the one the loop once stored, and lock_time is read off it
+        n, lock, traj = self._kicked_run()
+        stored = np.arange(n, dtype=float)
+        stored *= lock.dt
+        assert traj.time.dtype == stored.dtype
+        assert traj.time.tobytes() == stored.tobytes()
+        offset = (traj.phibar - traj.lock_point + np.pi) % TWO_PI - np.pi
+        last_out = int(np.flatnonzero(~(np.abs(offset) < lock.lock_tolerance))[-1])
+        assert traj.lock_time == traj.time[last_out + 1]
+
+    def test_verdict_matches_full_array_reading(self):
+        n, lock, traj = self._kicked_run()
         assert len(traj.time) == n
         assert _LOCK_BLOCK < traj.lock_time / lock.dt < 2 * _LOCK_BLOCK
         got = (traj.locked, traj.lock_time, traj.residual_rms)
