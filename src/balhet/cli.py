@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -93,59 +92,54 @@ def _parser_with_defaults(path: str | None) -> configparser.ConfigParser:
 
 
 _POSITIVE = (lambda v: v > 0, "positive")
+# Welch's grid reaches the angular Nyquist frequency pi * sample_rate
+_NYQUIST = (lambda v: v > 0 and math.pi * v < math.inf,
+            "positive with a finite angular Nyquist frequency pi * sample_rate")
 
 
-def _get(parser, section, key, conv, errors, rule=None):
+def _get(parser, section, key, conv, rule=None):
     """Convert one value; ``rule`` is an optional (predicate, description)."""
     raw = parser.get(section, key)
     try:
         value = conv(raw)
     except ValueError:
-        errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-        return None
+        raise ConfigInvalid(f"[{section}] {key}: cannot parse {raw!r}") from None
     if isinstance(value, float) and not math.isfinite(value):
-        errors.append(f"[{section}] {key}: must be finite, got {raw!r}")
-        return None
-    if value is not None and rule is not None and not rule[0](value):
-        errors.append(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
-        return None
+        raise ConfigInvalid(f"[{section}] {key}: must be finite, got {raw!r}")
+    if rule is not None and not rule[0](value):
+        raise ConfigInvalid(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
     return value
 
 
-def _check(errors, where, check, *args, **kwargs):
-    """Call a library constructor or check; record a refusal under ``where``.
-
-    A ``None`` argument failed to parse and is reported already, so the call is skipped.
-    """
-    if any(value is None for value in (*args, *kwargs.values())):
-        return None
+def _check(where, check, *args, **kwargs):
+    """Call a library constructor or check; refuse under ``where`` if it raises."""
     try:
         return check(*args, **kwargs)
     except (TypeError, ValueError, BalhetError) as exc:
-        errors.append(f"{where} {exc}")
+        raise ConfigInvalid(f"{where} {exc}") from None
 
 
 def load_config(path: str | None, *, mode: str, seed: int | None = None,
                 out: str | None = None) -> ExperimentConfig:
-    """Parse and validate an INI config for ``mode``, applying CLI overrides."""
+    """Parse and validate an INI config for ``mode``, applying CLI overrides;
+    the checks run in a fixed order, and the first fault is refused."""
     parser = _parser_with_defaults(path)
-    errors: list[str] = []
-    f = lambda s, k, rule=None: _get(parser, s, k, float, errors, rule)
-    i = lambda s, k, rule=None: _get(parser, s, k, int, errors, rule)
+    f = lambda s, k, rule=None: _get(parser, s, k, float, rule)
+    i = lambda s, k, rule=None: _get(parser, s, k, int, rule)
 
     if mode not in RUNNERS:
-        errors.append(f"mode must be one of {tuple(RUNNERS)}, got {mode!r}")
+        raise ConfigInvalid(f"mode must be one of {tuple(RUNNERS)}, got {mode!r}")
     eff_seed = seed if seed is not None else i("run", "seed")
-    if eff_seed is not None and eff_seed < 0:
-        errors.append(f"[run] seed: must be non-negative, got {eff_seed}")
+    if eff_seed < 0:
+        raise ConfigInvalid(f"[run] seed: must be non-negative, got {eff_seed}")
     eff_out = out or parser.get("run", "out")
 
-    opo = _check(errors, "[opo]", OpoParams, gamma=f("opo", "gamma"),
+    opo = _check("[opo]", OpoParams, gamma=f("opo", "gamma"),
                  epsilon=f("opo", "epsilon"), eta=f("opo", "eta"))
-    het = _check(errors, "[heterodyne]", HeterodyneConfig, Omega=f("heterodyne", "omega"),
+    het = _check("[heterodyne]", HeterodyneConfig, Omega=f("heterodyne", "omega"),
                  phi1=f("heterodyne", "phi1"), phi2=f("heterodyne", "phi2"),
                  amplitude=f("heterodyne", "amplitude"))
-    welch = _check(errors, "[montecarlo]", WelchConfig,
+    welch = _check("[montecarlo]", WelchConfig,
                    segment_length=i("montecarlo", "segment_length"),
                    overlap=f("montecarlo", "overlap"),
                    window=parser.get("montecarlo", "window"),
@@ -153,32 +147,31 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
 
     grid_omega_max, grid_points = f("grid", "omega_max"), i("grid", "points")
     if mode == "spectrum":
-        _check(errors, "[grid]", check_grid, grid_omega_max, grid_points)
+        _check("[grid]", check_grid, grid_omega_max, grid_points)
     top = max(FIGURE3_RATIOS.values())  # figure3's widest grid, panel (c)'s, bounds the rest
-    if mode == "figure3" and opo:
-        _check(errors, f"[opo] gamma and [grid] points (grid to 3 * gamma + {top} * gamma):",
+    if mode == "figure3":
+        _check(f"[opo] gamma and [grid] points (grid to 3 * gamma + {top} * gamma):",
                check_grid, 3.0 * opo.gamma + top * opo.gamma, grid_points)
-    mc_sample_rate = f("montecarlo", "sample_rate", _POSITIVE)
+    mc_sample_rate = f("montecarlo", "sample_rate", _NYQUIST)
     overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
     mc_segments = i("montecarlo", "segments")
-    if mode == "montecarlo" or (mode == "figure3" and (overlay_seeds or 0) > 0):
-        if welch and mc_segments is not None:
-            _check(errors, "[montecarlo]", welch.total_samples, mc_segments)
-        if mc_sample_rate and het and mode == "montecarlo":
-            _check(errors, "[heterodyne] omega:", check_alias, het.Omega, mc_sample_rate)
-        if mc_sample_rate and opo and mode == "figure3":
-            _check(errors, f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
+    if mode == "montecarlo" or (mode == "figure3" and overlay_seeds > 0):
+        _check("[montecarlo]", welch.total_samples, mc_segments)
+        if mode == "montecarlo":
+            _check("[heterodyne] omega:", check_alias, het.Omega, mc_sample_rate)
+        else:
+            _check(f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
                    mc_sample_rate)
     correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
     correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
     correlation_periods = f("correlation", "averaging_periods")
-    if mode == "correlation" and het and correlation_periods is not None:
+    if mode == "correlation":
         try:
-            check_averaging(het.Omega, correlation_periods, correlation_iota_max or 0.0)
+            check_averaging(het.Omega, correlation_periods, correlation_iota_max)
         except ValueError as exc:
-            errors.append(f"[heterodyne] {exc}")
+            raise ConfigInvalid(f"[heterodyne] {exc}") from None
         except InsufficientAveraging as exc:
-            errors.append(f"[correlation] {exc}")
+            raise ConfigInvalid(f"[correlation] {exc}") from None
 
     phibar0 = f("lock", "phibar0")
     dist_amp = f("lock", "disturbance_amplitude")
@@ -186,23 +179,17 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
     disturbance = None
     if dist_amp and dist_omega:
         disturbance = _sine_disturbance(dist_amp, dist_omega)
-    # an empty cutoff and a missing disturbance are valid Nones, so bind them first
-    cutoff = _get(parser, "lock", "lowpass_cutoff",
-                  lambda raw: float(raw) if raw.strip() else None, errors)
-    lock = _check(errors, "[lock]",
-                  partial(LockConfig, lowpass_cutoff=cutoff, disturbance=disturbance),
+    # a blank cutoff is None, which LockConfig resolves from the demodulation frequency
+    cutoff = _get(parser, "lock", "lowpass_cutoff", lambda raw: float(raw) if raw.strip() else None)
+    lock = _check("[lock]", LockConfig, lowpass_cutoff=cutoff, disturbance=disturbance,
                   Omega_prime=f("lock", "omega_prime"), theta=f("lock", "theta"),
                   demod_phase=f("lock", "demod_phase"), kp=f("lock", "kp"),
                   ki=f("lock", "ki"), dt=f("lock", "dt"), duration=f("lock", "duration"),
                   lock_tolerance=f("lock", "lock_tolerance"))
-    lock_het = _check(errors, "[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
+    lock_het = _check("[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
                       phi1=phibar0, phi2=phibar0, amplitude=f("lock", "amplitude"))
-    if lock and lock_het:
-        _check(errors, "[lock]", validate_lock, lock_het, lock)
+    _check("[lock]", validate_lock, lock_het, lock)
     mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
-
-    if errors:
-        raise ConfigInvalid("; ".join(errors))
 
     snapshot = {s: dict(parser[s]) for s in parser.sections()}
     del snapshot["run"]["out"]  # where the artifacts go is not what they hold

@@ -202,6 +202,8 @@ def opo_spectra(params: OpoParams) -> QuadratureBranches:
     ThresholdDivergence.
     """
     gamma, eps, eta = params.gamma, params.epsilon, params.eta
+    if eps == 0.0:  # the vacuum's flat floor, also where gamma**2 underflows
+        return QuadratureBranches(_zero, _zero, _zero)
     return QuadratureBranches(xx=_Lorentzian(-(2.0 / eta) * eps * gamma, gamma / 2.0 + eps),
                               pp=_Lorentzian((2.0 / eta) * eps * gamma, gamma / 2.0 - eps),
                               cross=_zero)

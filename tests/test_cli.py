@@ -300,6 +300,9 @@ class TestExitCodes:
         ("spectrum", "[heterodyne]\nomega0 = 0.0\n", "[heterodyne]"),
         ("spectrum", "[heterodyne]\nbeta = 0.3\n", "[heterodyne]"),
         ("montecarlo", "[montecarlo]\nsample_rate = -1\n", "[montecarlo] sample_rate"),
+        # Welch's grid reaches pi * sample_rate, which overflows above about 5.7e307
+        ("montecarlo", "[montecarlo]\nsample_rate = 1e308\n", "[montecarlo] sample_rate"),
+        ("montecarlo", "[montecarlo]\nsample_rate = 1.7e308\n", "[montecarlo] sample_rate"),
         ("correlation", "[opo]\nepsilon = 0.3\n[heterodyne]\nomega = 0\n",
          "[heterodyne] omega"),
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\npoints = 0\n",
@@ -352,7 +355,8 @@ class TestExitCodes:
             "figure3_points", "omega_max_inf", "omega_max_span_overflow",
             "figure3_gamma_grid_overflow", "figure3_gamma_grid_span_overflow",
             "eta_inverse_overflow", "omega_nan", "omega0_removed",
-            "beta_removed", "sample_rate", "correlation_omega_zero",
+            "beta_removed", "sample_rate", "sample_rate_nyquist_overflow",
+            "sample_rate_max", "correlation_omega_zero",
             "correlation_points", "seed_negative", "seed_override_negative", "demod_clash",
             "montecarlo_alias", "figure3_overlay_alias", "segments_below_min",
             "figure3_overlay_segments", "averaging_periods_10",
@@ -374,6 +378,26 @@ class TestExitCodes:
         assert where in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode, ini, first", [
+        ("spectrum", "[opo]\ngamma = text\n[lock]\ntheta = 400\n", "[opo]\ngamma = text\n"),
+        ("spectrum", "[grid]\npoints = 2\n[correlation]\niota_max = -2\n",
+         "[grid]\npoints = 2\n"),
+        # load order, not file order: [opo] is checked before [heterodyne]
+        ("montecarlo", "[heterodyne]\nomega = nan\n[opo]\nepsilon = 2\n",
+         "[opo]\nepsilon = 2\n"),
+    ], ids=["gamma_then_theta", "points_then_iota_max", "opo_before_heterodyne"])
+    def test_first_fault_is_refused(self, tmp_path, capsys, mode, ini, first):
+        # two faults: the refusal is the one-fault refusal of the fault checked first
+        conf = tmp_path / "exp.ini"
+        conf.write_text(first)
+        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        alone = capsys.readouterr().err
+        conf.write_text(ini)
+        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == alone
+        assert alone.startswith("config error: ") and alone.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, key", [
         ("opo", "gamma"), ("heterodyne", "phi1"), ("montecarlo", "segment_length"),
         ("lock", "omega_prime"), ("lock", "omega"), ("lock", "phibar0"),
@@ -392,8 +416,10 @@ class TestExitCodes:
                      "[correlation]\naveraging_periods = 10\n"),
         ("figure3", "[opo]\ngamma = 12\n[montecarlo]\nsegments = 8\n"),
         ("spectrum", "[run]\nout = a%b\n"),
+        ("montecarlo", "[montecarlo]\nsample_rate = 5e307\nsegments = 16\n"
+                       "segment_length = 64\nn_segments_min = 8\n"),
     ], ids=["averaging_periods_20", "spectrum_ignores_mc_rules", "figure3_no_overlay",
-            "percent_is_literal"])
+            "percent_is_literal", "sample_rate_nyquist_finite"])
     def test_load_time_rules_admit(self, tmp_path, mode, ini):
         # ten beat periods exactly is enough; the Monte-Carlo and averaging
         # rules bind only the modes that run those stages; a % in a value is
@@ -431,11 +457,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode, ini, column", [
         ("correlation", "[opo]\ngamma = 1e300\nepsilon = 0.3e300\n", "lambda_prime"),
-        ("montecarlo", "[montecarlo]\nsample_rate = 1e308\nsegments = 16\n"
-                       "segment_length = 64\nn_segments_min = 8\n", "omega"),
-    ], ids=["correlation_gamma", "montecarlo_sample_rate"])
+    ], ids=["correlation_gamma"])
     def test_non_finite_column_is_three(self, tmp_path, capsys, mode, ini, column):
-        # both runs once exited 0 with NaN or inf in their CSVs
+        # this run once exited 0 with NaN in its CSV
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
         code = run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o"))
@@ -458,12 +482,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode, ini, code", [
         ("spectrum", HUGE_SOURCE, 3), ("figure3", HUGE_SOURCE, 3),
         ("correlation", HUGE_SOURCE, 3),
-        ("montecarlo", "[montecarlo]\nsample_rate = 1e308\nsegments = 16\n"
-                       "segment_length = 64\nn_segments_min = 8\n", 3),
         ("figure3", "[opo]\ngamma = 1e300\n", 0),
         ("spectrum", "[heterodyne]\nomega = 1e200\n", 0),
         ("montecarlo", NEAR_THRESHOLD_INI, 3),
-    ], ids=["spectrum", "figure3", "correlation", "montecarlo", "figure3_gamma", "spectrum_omega",
+    ], ids=["spectrum", "figure3", "correlation", "figure3_gamma", "spectrum_omega",
             "montecarlo_near_threshold"])
     def test_extreme_magnitudes_stay_quiet(self, tmp_path, capsys, mode, ini, code):
         # each run overflows on the way; no numpy warning may reach stderr
@@ -486,6 +508,24 @@ class TestExitCodes:
         # the half of 1e-323 is the smallest subnormal, not 0
         conf.write_text("[opo]\ngamma = 1e-323\nepsilon = 0\n")
         assert load_config(str(conf), mode="spectrum").opo.gamma == 1e-323
+
+    @pytest.mark.parametrize("mode", ["spectrum", "figure3", "montecarlo"])
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e-323"])
+    def test_vacuum_at_tiny_gamma_is_flat(self, tmp_path, capsys, mode, gamma):
+        # without a pump every spectrum is the flat floor; gamma**2 underflowing once
+        # gave 0 / 0 in the Lorentzians and exit 3
+        conf = tmp_path / "exp.ini"
+        conf.write_text(f"[opo]\ngamma = {gamma}\nepsilon = 0\n"
+                        "[montecarlo]\nsegments = 16\nsegment_length = 64\nn_segments_min = 8\n")
+        out = tmp_path / "o"
+        assert run_cli(mode, "--config", str(conf), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        analytic = [name for name in os.listdir(out)
+                    if name.endswith(".csv") and name != "montecarlo.csv"]
+        assert len(analytic) == {"spectrum": 2, "figure3": 4, "montecarlo": 1}[mode]
+        for name in analytic:
+            _, cols = read_csv(str(out / name))
+            assert np.all(cols["chi_normalized"] == 1.0), name
 
     def test_failed_overlay_writes_nothing(self, tmp_path, capsys):
         # the overlay once ran after the four panel CSVs were written
