@@ -142,8 +142,7 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
     welch = _check("[montecarlo]", WelchConfig,
                    segment_length=i("montecarlo", "segment_length"),
                    overlap=f("montecarlo", "overlap"),
-                   window=parser.get("montecarlo", "window"),
-                   n_segments_min=i("montecarlo", "n_segments_min"))
+                   window=parser.get("montecarlo", "window"))
 
     grid_omega_max, grid_points = f("grid", "omega_max"), i("grid", "points")
     if mode == "spectrum":

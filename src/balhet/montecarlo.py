@@ -56,7 +56,6 @@ class WelchConfig:
     segment_length: int
     overlap: float
     window: str
-    n_segments_min: int
 
     def __post_init__(self):
         if self.segment_length < 8:
@@ -65,8 +64,6 @@ class WelchConfig:
             raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
         if self.window not in WINDOWS:
             raise ValueError(f"window must be one of {WINDOWS}, got {self.window!r}")
-        if self.n_segments_min < 1:
-            raise ValueError("n_segments_min must be positive")
 
     @property
     def step(self) -> int:
@@ -74,9 +71,8 @@ class WelchConfig:
 
     def total_samples(self, n_segments: int) -> int:
         """Series length that yields exactly ``n_segments`` segments."""
-        if not n_segments >= self.n_segments_min:
-            raise InsufficientData(f"segments: must be at least n_segments_min = "
-                                   f"{self.n_segments_min}, got {n_segments}")
+        if not n_segments >= 1:
+            raise InsufficientData(f"segments: must be at least 1, got {n_segments}")
         return self.segment_length + self.step * (n_segments - 1)
 
 
@@ -247,10 +243,6 @@ def welch_psd(y: TimeSeries, cfg: WelchConfig,
     if n < m:
         raise InsufficientData(f"series of {n} samples shorter than one segment ({m})")
     n_segments = 1 + (n - m) // step
-    if n_segments < cfg.n_segments_min:
-        raise InsufficientData(
-            f"only {n_segments} segments available, need {cfg.n_segments_min}"
-        )
     win = _window(cfg)
     norm = m * float(np.mean(win ** 2))
     acc = np.zeros(m // 2 + 1)

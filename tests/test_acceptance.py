@@ -18,8 +18,7 @@ from wick import (coherent_state, error_line_projection, field_kernel_lambda_pri
                   strong_oscillator_background, wick_oracle)
 
 THRESHOLD_OPO = bh.OpoParams(gamma=1.0, epsilon=0.5, eta=1.0)
-WELCH = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann",
-                       n_segments_min=16)
+WELCH = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann")
 FS = 10.0
 TWO_PI = 2.0 * np.pi
 
@@ -198,8 +197,7 @@ def test_criterion_8_phase_lock():
 def test_criterion_9_deterministic_artifacts(tmp_path):
     with report(9, "identical config and seed give byte-identical artifacts"):
         conf = tmp_path / "exp.ini"
-        conf.write_text("[montecarlo]\nsegments = 48\nsegment_length = 1024\n"
-                        "n_segments_min = 8\n")
+        conf.write_text("[montecarlo]\nsegments = 48\nsegment_length = 1024\n")
         outs = (tmp_path / "r1", tmp_path / "r2")
         for out in outs:
             with redirect_stdout(io.StringIO()):

@@ -230,7 +230,7 @@ class TestArtifacts:
         out = tmp_path / "out"
         cfgfile = tmp_path / "exp.ini"
         cfgfile.write_text("[montecarlo]\noverlay_seeds = 2\nsegments = 24\n"
-                           "segment_length = 1024\nn_segments_min = 8\n")
+                           "segment_length = 1024\n")
         assert run_cli("figure3", "--config", str(cfgfile), "--out", str(out)) == 0
         svg = (out / "figure3.svg").read_text()
         assert "circle" in svg  # Monte-Carlo points drawn
@@ -240,7 +240,7 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         # the output directory, named by --out or by [run] out, is not hashed
         seeded = ("montecarlo", "--seed", "31")
-        ini = "[montecarlo]\nsegments = 24\nsegment_length = 512\nn_segments_min = 8\n"
+        ini = "[montecarlo]\nsegments = 24\nsegment_length = 512\n"
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
         out1, out2, out3, out4 = (tmp_path / f"r{k}" for k in range(1, 5))
@@ -255,8 +255,7 @@ class TestDeterminism:
 
     def test_seed_changes_stochastic_output(self, tmp_path):
         conf = tmp_path / "exp.ini"
-        conf.write_text("[montecarlo]\nsegments = 24\nsegment_length = 512\n"
-                        "n_segments_min = 8\n")
+        conf.write_text("[montecarlo]\nsegments = 24\nsegment_length = 512\n")
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run_cli("montecarlo", "--seed", "1", "--config", str(conf),
                        "--out", str(out1)) == 0
@@ -313,8 +312,8 @@ class TestExitCodes:
         ("montecarlo", "[heterodyne]\nomega = 30\n", "[heterodyne] omega"),
         ("figure3", "[opo]\ngamma = 12\n[montecarlo]\noverlay_seeds = 1\n",
          "[opo] gamma"),
-        ("montecarlo", "[montecarlo]\nsegments = 8\n", "[montecarlo] segments"),
-        ("figure3", "[montecarlo]\nsegments = 8\noverlay_seeds = 1\n",
+        ("montecarlo", "[montecarlo]\nsegments = 0\n", "[montecarlo] segments"),
+        ("figure3", "[montecarlo]\nsegments = 0\noverlay_seeds = 1\n",
          "[montecarlo] segments"),
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 10\n",
          "[correlation] averaging_periods"),
@@ -417,7 +416,7 @@ class TestExitCodes:
         ("figure3", "[opo]\ngamma = 12\n[montecarlo]\nsegments = 8\n"),
         ("spectrum", "[run]\nout = a%b\n"),
         ("montecarlo", "[montecarlo]\nsample_rate = 5e307\nsegments = 16\n"
-                       "segment_length = 64\nn_segments_min = 8\n"),
+                       "segment_length = 64\n"),
     ], ids=["averaging_periods_20", "spectrum_ignores_mc_rules", "figure3_no_overlay",
             "percent_is_literal", "sample_rate_nyquist_finite"])
     def test_load_time_rules_admit(self, tmp_path, mode, ini):
@@ -434,8 +433,7 @@ class TestExitCodes:
         conf = tmp_path / "exp.ini"
         conf.write_text("[heterodyne]\nphi1 = 1.5707963267948966\n"
                         "phi2 = 1.5707963267948966\n"
-                        "[montecarlo]\nsegments = 16\nsegment_length = 256\n"
-                        "n_segments_min = 8\n")
+                        "[montecarlo]\nsegments = 16\nsegment_length = 256\n")
         assert run_cli("montecarlo", "--config", str(conf),
                        "--out", str(tmp_path / "o")) == 3
 
@@ -516,7 +514,7 @@ class TestExitCodes:
         # gave 0 / 0 in the Lorentzians and exit 3
         conf = tmp_path / "exp.ini"
         conf.write_text(f"[opo]\ngamma = {gamma}\nepsilon = 0\n"
-                        "[montecarlo]\nsegments = 16\nsegment_length = 64\nn_segments_min = 8\n")
+                        "[montecarlo]\nsegments = 16\nsegment_length = 64\n")
         out = tmp_path / "o"
         assert run_cli(mode, "--config", str(conf), "--out", str(out)) == 0
         assert capsys.readouterr().err == ""
@@ -695,7 +693,6 @@ _RUN_OPTIONAL = {
     ("montecarlo", "sample_rate"): st.floats(0.5, 20.0),
     ("montecarlo", "overlap"): st.floats(0.0, 0.9),
     ("montecarlo", "window"): st.sampled_from(["hann", "rectangular"]),
-    ("montecarlo", "n_segments_min"): st.integers(1, 20),
     ("correlation", "iota_max"): st.floats(0.01, 20.0),
     ("correlation", "averaging_periods"): st.floats(20.0, 100.0),
     ("lock", "theta"): st.floats(0.0, 1.5),
@@ -718,8 +715,7 @@ _RUN_OPTIONAL = {
 # 25 samples per beat period for each lag), so a large one allocates without
 # bound.
 _MAGNITUDE_KEYS = [key for key in _RUN_OPTIONAL if key not in {
-    ("grid", "points"), ("montecarlo", "window"), ("montecarlo", "n_segments_min"),
-    ("correlation", "averaging_periods")}]
+    ("grid", "points"), ("montecarlo", "window"), ("correlation", "averaging_periods")}]
 _MAGNITUDE = st.one_of(
     st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1.0, -1.0]),
               st.floats(-300.0, 300.0)),

@@ -15,9 +15,8 @@ from balhet.errors import AliasRisk, InsufficientData, NonPhysicalSpectrum
 WHITE = lambda w: np.ones_like(np.asarray(w, dtype=float))
 
 
-def tiny_welch(segment=256, overlap=0.5, window="hann", nmin=8):
-    return bh.WelchConfig(segment_length=segment, overlap=overlap,
-                          window=window, n_segments_min=nmin)
+def tiny_welch(segment=256, overlap=0.5, window="hann"):
+    return bh.WelchConfig(segment_length=segment, overlap=overlap, window=window)
 
 
 class TestSynthesis:
@@ -164,7 +163,7 @@ class TestSynthesisMemo:
     def test_memo_changes_no_figure3_output(self, tmp_path, monkeypatch, irfft_calls):
         conf = tmp_path / "exp.ini"
         conf.write_text("[montecarlo]\noverlay_seeds = 2\nsegments = 24\n"
-                        "segment_length = 1024\nn_segments_min = 8\n")
+                        "segment_length = 1024\n")
         assert main(["figure3", "--config", str(conf),
                      "--out", str(tmp_path / "memo")]) == 0
         assert len(irfft_calls) == 2  # one synthesis per seed for four panels
@@ -295,8 +294,7 @@ class TestSynthesisMemory:
 class TestWelch:
     @pytest.mark.parametrize("m", [256, 255])
     def test_matches_complex_fft_reference(self, m):
-        welch = bh.WelchConfig(segment_length=m, overlap=0.5, window="hann",
-                               n_segments_min=8)
+        welch = bh.WelchConfig(segment_length=m, overlap=0.5, window="hann")
         n_seg = 20
         x = bh.TimeSeries(4.0, np.random.default_rng(m).standard_normal(
             welch.total_samples(n_seg)))
@@ -313,8 +311,7 @@ class TestWelch:
     def test_batched_equals_segment_loop(self, m, n_seg):
         # one partial batch, one full batch plus one, several plus a remainder;
         # read-only input, as a synthesis memo hit hands it over
-        welch = bh.WelchConfig(segment_length=m, overlap=0.5, window="hann",
-                               n_segments_min=8)
+        welch = bh.WelchConfig(segment_length=m, overlap=0.5, window="hann")
         samples = np.random.default_rng(m).standard_normal(welch.total_samples(n_seg))
         samples.flags.writeable = False
         psd = bh.welch_psd(bh.TimeSeries(4.0, samples), welch).chi_normalized
@@ -346,7 +343,7 @@ class TestWelch:
         # bin-centered cosine of amplitude A carries integrated power A^2/2
         fs, m = 8.0, 256
         welch = bh.WelchConfig(segment_length=m, overlap=0.0,
-                               window="rectangular", n_segments_min=8)
+                               window="rectangular")
         n = welch.total_samples(16)
         t = np.arange(n) / fs
         a = 1.3
@@ -374,8 +371,7 @@ class TestWelch:
         # sigma must predict the scatter of the estimate between seeds,
         # including the overlap correlation of the Hann segments and the
         # single degree of freedom of the DC and Nyquist bins
-        welch = bh.WelchConfig(segment_length=64, overlap=0.5, window="hann",
-                               n_segments_min=8)
+        welch = bh.WelchConfig(segment_length=64, overlap=0.5, window="hann")
         n = welch.total_samples(16)
         psds, sigmas = [], []
         for seed in range(400):
@@ -391,9 +387,9 @@ class TestWelch:
         assert ratio[nyquist] == pytest.approx(1.0, abs=0.10)
 
     def test_insufficient_segments(self):
-        welch = tiny_welch(segment=1024, nmin=64)
-        x = bh.synthesize_quadrature(WHITE, 2048, 4.0, seed=5)
-        with pytest.raises(InsufficientData):
+        welch = tiny_welch(segment=1024)
+        x = bh.synthesize_quadrature(WHITE, 1023, 4.0, seed=5)
+        with pytest.raises(InsufficientData, match="shorter than one segment"):
             bh.welch_psd(x, welch)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -430,7 +426,7 @@ class TestModulation:
     def test_tone_splits_into_symmetric_lines(self):
         fs, m = 16.0, 512
         welch = bh.WelchConfig(segment_length=m, overlap=0.0,
-                               window="rectangular", n_segments_min=4)
+                               window="rectangular")
         n = welch.total_samples(8)
         t = np.arange(n) / fs
         bin_w = 2 * np.pi * fs / m
@@ -523,12 +519,12 @@ class TestRefusedBeforeSynthesis:
     FS = 4.0
 
     def test_too_few_segments(self, irfft_calls):
-        welch = tiny_welch(nmin=8)
-        with pytest.raises(InsufficientData, match="n_segments_min"):
+        welch = tiny_welch()
+        with pytest.raises(InsufficientData, match="segments"):
             bh.monte_carlo_heterodyne(self.PARAMS, bh.HeterodyneConfig(Omega=1.0),
-                                      self.FS, 7, welch, seed=1)
-        with pytest.raises(InsufficientData, match="n_segments_min"):
-            bh.monte_carlo_homodyne(self.PARAMS, 0.0, self.FS, 7, welch, seed=1)
+                                      self.FS, 0, welch, seed=1)
+        with pytest.raises(InsufficientData, match="segments"):
+            bh.monte_carlo_homodyne(self.PARAMS, 0.0, self.FS, 0, welch, seed=1)
         assert irfft_calls == []
 
     def test_offset_above_alias_limit(self, irfft_calls):
@@ -545,8 +541,7 @@ class TestMonteCarloPipelines:
         return bh.heterodyne_spectrum(bh.opo_spectra(self.PARAMS), cfg, 1.0, grid)
 
     def test_deep_squeezing_dip(self):
-        welch = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann",
-                               n_segments_min=16)
+        welch = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann")
         psd = bh.monte_carlo_homodyne(self.PARAMS, 0.0, 10.0, 200, welch, seed=42)
         center = np.abs(psd.omega_grid) < 0.05
         assert np.max(psd.chi_normalized[center]) <= 0.05
@@ -561,8 +556,7 @@ class TestMonteCarloPipelines:
 
     @pytest.mark.parametrize("ratio", [0.05, 0.5, 5.0])
     def test_oracle_agreement_heterodyne(self, ratio):
-        welch = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann",
-                               n_segments_min=16)
+        welch = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann")
         n_seg = 160
         cfg = bh.HeterodyneConfig(Omega=ratio)
         mc = bh.monte_carlo_heterodyne(self.PARAMS, cfg, 10.0, n_seg, welch,
@@ -576,8 +570,7 @@ class TestMonteCarloPipelines:
         assert np.mean(dev <= bound) >= 0.95
 
     def test_oracle_agreement_homodyne(self):
-        welch = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann",
-                               n_segments_min=16)
+        welch = bh.WelchConfig(segment_length=8192, overlap=0.5, window="hann")
         n_seg = 160
         mc = bh.monte_carlo_homodyne(self.PARAMS, 0.0, 10.0, n_seg, welch, seed=77)
         analytic = bh.homodyne_spectrum(bh.opo_spectra(self.PARAMS), 0.0, 1.0,
@@ -588,8 +581,7 @@ class TestMonteCarloPipelines:
     def test_empirical_split_shift(self):
         # same underlying series: heterodyne PSD vs half-sum of the shifted
         # homodyne PSD, with the offset on the segment-bin grid
-        welch = bh.WelchConfig(segment_length=1024, overlap=0.5, window="hann",
-                               n_segments_min=16)
+        welch = bh.WelchConfig(segment_length=1024, overlap=0.5, window="hann")
         fs, n_seg = 10.0, 400
         bin_w = 2 * np.pi * fs / welch.segment_length
         shift_bins = 40
