@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature_form,
                           time_average_reduce)
-from .errors import BalhetError, ConfigInvalid, InsufficientAveraging
+from .errors import MAX_LENGTH, BalhetError, ConfigInvalid, InsufficientAveraging
 from .field import HeterodyneConfig, OpoParams, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate, validate_lock
 from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
@@ -162,7 +162,8 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
             _check(f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
                    mc_sample_rate)
     correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
-    correlation_points = i("correlation", "points", (lambda v: v >= 2, "at least 2"))
+    correlation_points = i("correlation", "points",
+                           (lambda v: 2 <= v <= MAX_LENGTH, f"in [2, {MAX_LENGTH}]"))
     correlation_periods = f("correlation", "averaging_periods")
     if mode == "correlation":
         try:

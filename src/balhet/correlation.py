@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientAveraging
+from .errors import MAX_LENGTH, InsufficientAveraging
 from .field import HeterodyneConfig, QuadratureBranches, measured_quadrature
 
 # Samples per beat period used by the time-average quadrature.
@@ -74,8 +74,8 @@ def lambda_prime_quadrature_form(kernels: QuadratureBranches,
 def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> None:
     """Refuse averaging lambda(t, iota) over T = averaging_periods * pi / Omega.
 
-    Omega must be positive, T must span ``MIN_BEAT_PERIODS`` beat periods,
-    and Omega (2t + iota) must stay finite for t <= T, |iota| <= iota_max.
+    Omega must be positive, T must span ``MIN_BEAT_PERIODS`` beat periods in at most
+    ``MAX_LENGTH`` samples and Omega (2t + iota) stay finite for t <= T, |iota| <= iota_max.
     """
     if not Omega > 0:
         raise ValueError(f"omega must be positive for time averaging, got {Omega}")
@@ -86,6 +86,9 @@ def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> 
     if not float(Omega) * reach < np.inf:  # Python floats overflow to inf without a warning
         raise InsufficientAveraging(f"averaging window plus iota_max ({reach / 2}) "
                                     f"overflows the beat phase at omega = {Omega}")
+    most = 2 * MAX_LENGTH // _STEPS_PER_PERIOD  # time_average_reduce's samples stay in MAX_LENGTH
+    if not averaging_periods <= most:
+        raise InsufficientAveraging(f"averaging_periods must be <= {most}, got {averaging_periods}")
 
 
 def time_average_reduce(kernels: QuadratureBranches, cfg: HeterodyneConfig,

@@ -1,5 +1,7 @@
 """Exception hierarchy for the balanced-heterodyne simulator."""
 
+MAX_LENGTH = 2 ** 56  # the longest array a config may ask for: 512 PiB of floats
+
 
 class BalhetError(Exception):
     """Base class for all package-specific errors."""

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DemodClash, LockFailure
+from .errors import MAX_LENGTH, DemodClash, LockFailure
 from .field import HeterodyneConfig, quadrature_mean_slope
 
 TWO_PI = 2.0 * math.pi
@@ -74,9 +74,9 @@ class LockConfig:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.duration >= self.dt:
-            raise ValueError(f"duration must be at least dt = {self.dt}, "
-                             f"got {self.duration}")
+        if not self.dt <= self.duration <= self.dt * MAX_LENGTH:  # duration / dt loop steps
+            raise ValueError(f"duration must be at least dt = {self.dt} and at most "
+                             f"{MAX_LENGTH} dt, got {self.duration}")
         if self.lowpass_cutoff is not None and not 0 < self.lowpass_cutoff < math.inf:
             raise ValueError(f"lowpass_cutoff must lie in (0, inf), got {self.lowpass_cutoff}")
         if not 0 < self.lock_tolerance < math.inf:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AliasRisk, InsufficientData, NonPhysicalSpectrum
+from .errors import MAX_LENGTH, AliasRisk, InsufficientData, NonPhysicalSpectrum
 from .field import HeterodyneConfig, OpoParams, opo_spectra
 from .spectral import (HETERODYNE_FLOOR, HOMODYNE_FLOOR, SpectralDensity,
                        quadrature_noise_spectrum)
@@ -58,8 +58,9 @@ class WelchConfig:
     window: str
 
     def __post_init__(self):
-        if self.segment_length < 8:
-            raise ValueError(f"segment_length must be >= 8, got {self.segment_length}")
+        if not 8 <= self.segment_length <= MAX_LENGTH:
+            raise ValueError(f"segment_length must lie in [8, {MAX_LENGTH}], "
+                             f"got {self.segment_length}")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must lie in [0, 1), got {self.overlap}")
         if self.window not in WINDOWS:
@@ -71,8 +72,9 @@ class WelchConfig:
 
     def total_samples(self, n_segments: int) -> int:
         """Series length that yields exactly ``n_segments`` segments."""
-        if not n_segments >= 1:
-            raise InsufficientData(f"segments: must be at least 1, got {n_segments}")
+        most = 1 + (MAX_LENGTH - self.segment_length) // self.step  # at most MAX_LENGTH samples
+        if not 1 <= n_segments <= most:
+            raise InsufficientData(f"segments: must lie in [1, {most}], got {n_segments}")
         return self.segment_length + self.step * (n_segments - 1)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonPhysicalSpectrum
+from .errors import MAX_LENGTH, NonPhysicalSpectrum
 from .field import (HeterodyneConfig, OpoParams, QuadratureBranches, measured_quadrature,
                     opo_spectra)
 
@@ -45,8 +45,8 @@ def check_grid(omega_max: float, points: int) -> None:
     """Refuse a grid that ``frequency_grid`` cannot build, before allocating it."""
     if not (0 < omega_max and 2.0 * omega_max < np.inf):  # linspace overflows the span
         raise ValueError(f"omega_max must be positive with 2 * omega_max finite, got {omega_max}")
-    if points < 3:
-        raise ValueError(f"points must be at least 3, got {points}")
+    if not 3 <= points <= MAX_LENGTH:
+        raise ValueError(f"points must lie in [3, {MAX_LENGTH}], got {points}")
 
 
 def frequency_grid(omega_max: float, points: int, include=()) -> np.ndarray:

@@ -131,6 +131,17 @@ class TestArtifacts:
         assert meta["n_segments"] == "32"
         assert np.all(cols["sigma"] >= 0)
 
+    def test_montecarlo_one_segment(self, tmp_path, capsys):
+        # one segment runs: the estimator's floor is its natural one
+        out = tmp_path / "out"
+        cfgfile = tmp_path / "exp.ini"
+        cfgfile.write_text("[montecarlo]\nsegments = 1\n")
+        assert run_cli("montecarlo", "--config", str(cfgfile), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        meta, cols = read_csv(str(out / "montecarlo.csv"))
+        assert meta["n_segments"] == "1"
+        assert all(np.all(np.isfinite(c)) for c in cols.values())
+
     def test_montecarlo_manifest_records_sizes(self, tmp_path):
         out = tmp_path / "out"
         cfgfile = tmp_path / "exp.ini"
@@ -436,6 +447,32 @@ class TestExitCodes:
                         "[montecarlo]\nsegments = 16\nsegment_length = 256\n")
         assert run_cli("montecarlo", "--config", str(conf),
                        "--out", str(tmp_path / "o")) == 3
+
+    @pytest.mark.parametrize("mode, ini, key", [
+        ("lock", "[lock]\nduration = 1e300\n", "duration"),
+        ("lock", "[lock]\ndt = 1e-300\n", "dt"),
+        ("spectrum", "[grid]\npoints = 100000000000000000000\n", "[grid] points"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\npoints = 100000000000000000000\n",
+         "[correlation] points"),
+        ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 1e300\n",
+         "[correlation] averaging_periods"),
+        ("montecarlo", "[montecarlo]\nsegments = 100000000000000000000\n", "[montecarlo] segments"),
+        ("montecarlo", "[montecarlo]\nsegment_length = 100000000000000000000\n",
+         "[montecarlo] segment_length"),
+        ("figure3", "[montecarlo]\noverlay_seeds = 1\nsegments = 100000000000000000000\n",
+         "[montecarlo] segments"),
+    ], ids=["lock_duration", "lock_dt", "grid_points", "correlation_points",
+            "averaging_periods", "segments", "segment_length", "figure3_overlay_segments"])
+    def test_size_beyond_numpy_is_two(self, tmp_path, capsys, mode, ini, key):
+        # each run once asked numpy for more elements than it can index and ended
+        # in a ValueError traceback (exit 1); MAX_LENGTH refuses them at load
+        conf = tmp_path / "exp.ini"
+        conf.write_text(ini)
+        assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("mode, ini", [
         ("correlation", "[opo]\nepsilon = 0.3\n[correlation]\naveraging_periods = 1e15\n"),

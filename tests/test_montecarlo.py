@@ -386,6 +386,19 @@ class TestWelch:
         assert ratio[dc] == pytest.approx(1.0, abs=0.10)
         assert ratio[nyquist] == pytest.approx(1.0, abs=0.10)
 
+    @pytest.mark.parametrize("m", [64, 63])
+    def test_one_segment_sigma_is_the_estimate(self, m):
+        # one segment is the estimator's floor: the variance factor is exactly 1, so
+        # sigma is the estimate itself, times sqrt(2) at DC and the even-m Nyquist bin
+        welch = tiny_welch(segment=m)
+        x = bh.TimeSeries(1.0, np.random.default_rng(m).standard_normal(welch.total_samples(1)))
+        sd = bh.welch_psd(x, welch)
+        assert sd.config_snapshot["n_segments"] == 1
+        one_dof = [m // 2] + ([0] if m % 2 == 0 else [])  # fftshift puts -Nyquist first
+        interior = np.delete(np.arange(m), one_dof)
+        assert np.array_equal(sd.sigma[interior], sd.chi_normalized[interior])
+        assert np.array_equal(sd.sigma[one_dof], np.sqrt(2.0) * sd.chi_normalized[one_dof])
+
     def test_insufficient_segments(self):
         welch = tiny_welch(segment=1024)
         x = bh.synthesize_quadrature(WHITE, 1023, 4.0, seed=5)
