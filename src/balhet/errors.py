@@ -1,6 +1,6 @@
-"""Exception hierarchy for the balanced-heterodyne simulator."""
+"""Exception hierarchy and size limit for the balanced-heterodyne simulator."""
 
-MAX_LENGTH = 2 ** 56  # the longest array a config may ask for: 512 PiB of floats
+MAX_LENGTH = 2 ** 56  # longest array a config may ask for: 512 PiB of floats, inside numpy's range
 
 
 class BalhetError(Exception):
