@@ -237,14 +237,22 @@ class TestArtifacts:
         assert a["normalization"] == "heterodyne_floor"
         assert set(d) == common and d["normalization"] == "homodyne_floor"
 
-    def test_figure3_with_overlay(self, tmp_path):
+    def test_figure3_with_overlay(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfgfile = tmp_path / "exp.ini"
         cfgfile.write_text("[montecarlo]\noverlay_seeds = 2\nsegments = 24\n"
                            "segment_length = 1024\n")
         assert run_cli("figure3", "--config", str(cfgfile), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
         svg = (out / "figure3.svg").read_text()
         assert "circle" in svg  # Monte-Carlo points drawn
+
+    def test_run_out_is_literal(self, tmp_path, monkeypatch):
+        # values are literal: a % in [run] out names the directory as written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.ini").write_text("[run]\nout = pct%dir\n")
+        assert run_cli("spectrum", "--config", "exp.ini") == 0
+        assert (tmp_path / "pct%dir" / "spectrum_heterodyne.csv").stat().st_size > 0
 
 
 class TestDeterminism:
@@ -620,17 +628,31 @@ def _config(tmp_path, ini):
     return str(tmp_path / "below.ini")
 
 
+# off the amplitude quadrature: phibar = 0.4 evaluates the anti-squeezed kernel k22 too,
+# and phibar = 0.65 with dphi = 0.25 gives every spectral branch a nonzero weight
+OFF_AXIS = "[opo]\nepsilon = 0.3\n[heterodyne]\nphi1 = 0.4\nphi2 = 0.4\n"
+MIXED = "[opo]\nepsilon = 0.3\neta = 0.7\n[heterodyne]\nphi1 = 0.4\nphi2 = 0.9\n"
+
+
 @pytest.mark.parametrize("argv, ini, artifacts", [
     *README_COMMANDS.values(),
     (["spectrum"], None, ["spectrum_heterodyne.csv", "spectrum_homodyne.csv"]),
-], ids=[*README_COMMANDS, "spectrum_without_svg"])
+    (["correlation"], OFF_AXIS, ["correlation.csv"]),
+    (["spectrum", "--svg"], MIXED,
+     ["spectrum_heterodyne.csv", "spectrum_homodyne.csv", "spectrum.svg"]),
+    (["montecarlo"], MIXED + "[montecarlo]\nsegments = 24\nsegment_length = 512\n",
+     ["montecarlo.csv", "montecarlo_analytic.csv", "montecarlo_manifest.json"]),
+], ids=[*README_COMMANDS, "spectrum_without_svg", "correlation_off_axis", "spectrum_mixed",
+        "montecarlo_mixed"])
 def test_readme_commands(tmp_path, capsys, argv, ini, artifacts):
-    # exactly the listed files: no SVG without --svg, except figure3's
+    # exactly the listed files: no SVG without --svg, except figure3's; nothing on stderr
     out = tmp_path / "out"
     if ini is not None:
         argv = [*argv, "--config", _config(tmp_path, ini)]
     assert run_cli(*argv, "--out", str(out)) == 0
-    assert capsys.readouterr().out.split() == [str(out / name) for name in artifacts]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.split() == [str(out / name) for name in artifacts]
     assert sorted(os.listdir(out)) == sorted(artifacts)
     for name in artifacts:
         assert (out / name).stat().st_size > 0
