@@ -91,8 +91,8 @@ class HeterodyneConfig:
         if not (0.0 < self.amplitude and 4.0 * self.amplitude * self.amplitude < np.inf):
             raise ValueError(f"amplitude must be positive with a finite oscillator power "
                              f"4 * amplitude**2, got {self.amplitude}")
-        if not (math.isfinite(self.phi1) and math.isfinite(self.phi2)):
-            raise ValueError(f"phi1 and phi2 must be finite, got {self.phi1} and {self.phi2}")
+        if not (math.isfinite(self.phi1 + self.phi2) and math.isfinite(self.phi2 - self.phi1)):
+            raise ValueError(f"phi1 +/- phi2 must be finite, got {self.phi1} and {self.phi2}")
 
     @property
     def phibar(self) -> float:

@@ -368,6 +368,12 @@ class TestExitCodes:
          "[opo] gamma: cannot parse '%(nothing)s'"),
         # the subcommand names the mode; a config cannot contradict it
         ("spectrum", "[run]\nmode = lock\n", "unknown key 'mode' in section [run]"),
+        # finite phases whose half-sum phibar or half-difference dphi overflows
+        ("spectrum", "[heterodyne]\nphi1 = 1e308\nphi2 = 1e308\n",
+         "[heterodyne] phi1 +/- phi2 must be finite"),
+        ("montecarlo", "[heterodyne]\nphi1 = 1e308\nphi2 = -1e308\n",
+         "[heterodyne] phi1 +/- phi2 must be finite"),
+        ("lock", "[lock]\nphibar0 = 1e308\n", "[lock] phi1 +/- phi2 must be finite"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "lock_tolerance_zero",
             "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_max_span_overflow",
@@ -385,7 +391,7 @@ class TestExitCodes:
             "amplitude_power_overflow", "lock_amplitude_power_overflow",
             "unknown_section", "duplicate_key", "duplicate_section", "no_section_header",
             "unparsable_line", "not_utf8", "percent_sign", "percent_reference",
-            "run_mode_removed"])
+            "run_mode_removed", "phibar_overflow", "dphi_overflow", "lock_phibar0_overflow"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_bytes(ini if isinstance(ini, bytes) else ini.encode())
