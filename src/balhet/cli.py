@@ -261,7 +261,8 @@ def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
     closed = lambda_prime(kernels, het, tau)
     quad_form = lambda_prime_quadrature_form(kernels, het, tau)
     T = cfg.correlation_periods * math.pi / het.Omega
-    averaged = np.array([time_average_reduce(kernels, het, x, T) for x in tau])
+    averaged = np.array([time_average_reduce(kernels, het, x, cfg.correlation_periods)
+                         for x in tau])
     columns = {"tau": tau, "lambda_prime": closed,
                "lambda_prime_quadrature": quad_form, "time_average": averaged}
     meta = {"config_hash": cfg.hash, "averaging_time": T}

@@ -92,16 +92,16 @@ def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> 
 
 
 def time_average_reduce(kernels: QuadratureBranches, cfg: HeterodyneConfig,
-                        iota: float, T: float) -> float:
+                        iota: float, averaging_periods: float) -> float:
     """Average lambda(t, iota) over t in [0, T]; ``lambda_prime`` is its limit.
 
-    Uses a uniform composite trapezoid with at least ``_STEPS_PER_PERIOD``
-    samples per beat period, which resolves the oscillating terms and
-    integrates them to zero exactly when T is a whole number of
-    half-periods.  ``check_averaging`` refuses the window first.
+    T = averaging_periods * pi / Omega.  Uses a uniform composite trapezoid with at
+    least ``_STEPS_PER_PERIOD`` samples per beat period, which resolves the oscillating
+    terms and integrates them to zero exactly when ``averaging_periods`` is a whole
+    number.  ``check_averaging`` refuses the window first, on averaging_periods as given.
     """
-    # a few ulps of slack (2**-50 = 4 eps): T = 20 pi / Omega is exactly ten beat periods
-    check_averaging(cfg.Omega, float(T) * cfg.Omega / np.pi * (1.0 + 2.0 ** -50), iota)
+    check_averaging(cfg.Omega, averaging_periods, iota)
+    T = averaging_periods * np.pi / cfg.Omega
     period = 2.0 * np.pi / cfg.Omega
     n = int(np.ceil(T / (period / _STEPS_PER_PERIOD)))
     t = np.linspace(0.0, T, n + 1)

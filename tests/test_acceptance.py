@@ -138,19 +138,19 @@ def test_criterion_6_time_average_reduction():
                                       phi2=rng.uniform(-np.pi, np.pi),
                                       amplitude=1.0)
             iota = 0.07
-            T = int(rng.integers(20, 80)) * np.pi / cfg.Omega  # at least ten beat periods
+            periods = int(rng.integers(20, 80))  # at least ten beat periods
             closed = float(bh.lambda_prime(k, cfg, iota))
-            mismatch = abs(bh.time_average_reduce(k, cfg, iota, T) - closed)
+            mismatch = abs(bh.time_average_reduce(k, cfg, iota, periods) - closed)
             assert mismatch <= 1e-10 * max(abs(closed), 1e-9)
 
         k = kernels(random_state(np.random.default_rng(607)))
         cfg = bh.HeterodyneConfig(Omega=2.0, phi1=0.2, phi2=0.9, amplitude=1.0)
         counts = np.array([20, 64, 200, 640])
-        T = (counts + 0.25) * np.pi / cfg.Omega
+        periods = counts + 0.25
         closed = float(bh.lambda_prime(k, cfg, 0.13))
-        mism = [abs(bh.time_average_reduce(k, cfg, 0.13, float(Tk)) - closed)
-                for Tk in T]
-        slope = np.polyfit(np.log10(T), np.log10(mism), 1)[0]
+        mism = [abs(bh.time_average_reduce(k, cfg, 0.13, float(p)) - closed)
+                for p in periods]
+        slope = np.polyfit(np.log10(periods), np.log10(mism), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
 

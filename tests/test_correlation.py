@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import balhet as bh
+from balhet.correlation import check_averaging
 from balhet.errors import InsufficientAveraging, ThresholdDivergence
 from test_field import random_state
 from wick import (FourKernels, GaussianFieldState, coherent_state, kernels,
@@ -207,8 +208,7 @@ class TestLambdaPrime:
         assert np.array_equal(bh.lambda_prime(b, cfg, tau),
                               2.0 * np.cos(2.0 * tau) * branch(tau))
         assert np.all(np.isfinite(bh.intensity_correlation(b, cfg, 0.4, tau)))
-        T = 20 * np.pi / cfg.Omega
-        assert bh.time_average_reduce(b, cfg, 0.3, T) == pytest.approx(
+        assert bh.time_average_reduce(b, cfg, 0.3, 20) == pytest.approx(
             float(bh.lambda_prime(b, cfg, 0.3)), rel=1e-10)
         w = np.linspace(-3.0, 3.0, 13)
         hom = bh.homodyne_spectrum(b, phibar, 1.0, w)
@@ -258,9 +258,8 @@ class TestTimeAverage:
             iota = 0.21  # keep cos(Omega iota) away from zero crossings
             if abs(np.cos(cfg.Omega * iota)) < 0.2:
                 iota = 0.05
-            T = 40 * np.pi / cfg.Omega
             closed = float(bh.lambda_prime(k, cfg, iota))
-            mismatch = abs(bh.time_average_reduce(k, cfg, iota, T) - closed)
+            mismatch = abs(bh.time_average_reduce(k, cfg, iota, 40) - closed)
             assert mismatch <= 1e-10 * max(abs(closed), 1e-12)
 
     def test_incommensurate_window_decays_inversely(self):
@@ -270,38 +269,51 @@ class TestTimeAverage:
         iota = 0.13
         # quarter-period offsets keep the leftover oscillation amplitude fixed
         counts = np.array([20, 64, 200, 640])
-        T = (counts + 0.25) * np.pi / cfg.Omega
+        periods = counts + 0.25
         closed = float(bh.lambda_prime(k, cfg, iota))
-        mism = [abs(bh.time_average_reduce(k, cfg, iota, float(Tk)) - closed)
-                for Tk in T]
-        slope = np.polyfit(np.log10(T), np.log10(mism), 1)[0]
+        mism = [abs(bh.time_average_reduce(k, cfg, iota, float(p)) - closed)
+                for p in periods]
+        slope = np.polyfit(np.log10(periods), np.log10(mism), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
 
     def test_short_window_rejected(self):
         k = kernels(random_state(np.random.default_rng(39)))
         cfg = bh.HeterodyneConfig(Omega=1.0, amplitude=1.0)
         with pytest.raises(InsufficientAveraging):
-            bh.time_average_reduce(k, cfg, 0.1, T=5 * np.pi)
+            bh.time_average_reduce(k, cfg, 0.1, averaging_periods=5)
 
-    @pytest.mark.parametrize("Omega, T", [(1.0, 1e308), (5e-324, 40 * np.pi / 5e-324),
-                                          (10.0, np.float64(1e308))],
+    @pytest.mark.parametrize("Omega, periods", [(1.0, 1e308), (5e-324, 40),
+                                                (10.0, np.float64(1e308))],
                              ids=["long_window", "subnormal_offset", "numpy_scalar"])
-    def test_overflowing_beat_phase_rejected(self, Omega, T):
+    def test_overflowing_beat_phase_rejected(self, Omega, periods):
         # these once escaped as a bare OverflowError, an int() ValueError or,
         # for a numpy scalar, an overflow RuntimeWarning
         k = kernels(random_state(np.random.default_rng(41)))
         cfg = bh.HeterodyneConfig(Omega=Omega, amplitude=1.0)
         with pytest.raises(InsufficientAveraging, match="overflows the beat phase"):
-            bh.time_average_reduce(k, cfg, 0.1, T)
+            bh.time_average_reduce(k, cfg, 0.1, periods)
 
     def test_exactly_ten_periods_accepted(self):
-        # 20 pi / Omega rounds one ulp below 10 * (2 pi / Omega) at Omega = 0.05
+        # 20 pi / Omega rounds one ulp below 10 * (2 pi / Omega) at Omega = 0.05,
+        # but the window is judged on its periods, not on T
         k = kernels(random_state(np.random.default_rng(40)))
         cfg = bh.HeterodyneConfig(Omega=0.05, amplitude=1.0)
         assert 20 * np.pi / cfg.Omega < 10 * (2 * np.pi / cfg.Omega)
-        bh.time_average_reduce(k, cfg, 0.1, T=20 * np.pi / cfg.Omega)
+        bh.time_average_reduce(k, cfg, 0.1, 20)
         with pytest.raises(InsufficientAveraging):
-            bh.time_average_reduce(k, cfg, 0.1, T=19.9 * np.pi / cfg.Omega)
+            bh.time_average_reduce(k, cfg, 0.1, 19.9)
+
+    def test_periods_judged_as_check_averaging_judges_them(self):
+        # one rule and one verdict: the float just below 20 is refused by both, 20 by neither
+        k = kernels(random_state(np.random.default_rng(40)))
+        cfg = bh.HeterodyneConfig(Omega=0.05, amplitude=1.0)
+        below = np.nextafter(20, 0)
+        with pytest.raises(InsufficientAveraging):
+            check_averaging(cfg.Omega, below, 0.1)
+        with pytest.raises(InsufficientAveraging):
+            bh.time_average_reduce(k, cfg, 0.1, below)
+        check_averaging(cfg.Omega, 20, 0.1)
+        assert np.isfinite(bh.time_average_reduce(k, cfg, 0.1, 20))
 
 
 class TestSpectralConsistency:
