@@ -30,7 +30,7 @@ from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature
                           time_average_reduce)
 from .errors import MAX_LENGTH, BalhetError, ConfigInvalid, InsufficientAveraging
 from .field import HeterodyneConfig, OpoParams, opo_field_state, opo_spectra
-from .locking import LockConfig, closed_loop_simulate, validate_lock
+from .locking import LockConfig, closed_loop_simulate
 from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
                          monte_carlo_homodyne)
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
@@ -63,7 +63,6 @@ class ExperimentConfig:
     correlation_points: int
     correlation_periods: float
     lock: LockConfig
-    lock_heterodyne: HeterodyneConfig
     lock_mean: complex
     snapshot: dict
 
@@ -173,7 +172,10 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
         except InsufficientAveraging as exc:
             raise ConfigInvalid(f"[correlation] {exc}") from None
 
-    phibar0 = f("lock", "phibar0")
+    # both oscillator phases start at phibar0, so their sum is 2 * phibar0
+    phibar0 = f("lock", "phibar0", (lambda v: math.isfinite(2.0 * v), "finite when doubled"))
+    lock_het = _check("[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
+                      phi1=phibar0, phi2=phibar0, amplitude=f("lock", "amplitude"))
     dist_amp = f("lock", "disturbance_amplitude")
     dist_omega = f("lock", "disturbance_omega")
     disturbance = None
@@ -181,14 +183,11 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
         disturbance = _sine_disturbance(dist_amp, dist_omega)
     # a blank cutoff is None, which LockConfig resolves from the demodulation frequency
     cutoff = _get(parser, "lock", "lowpass_cutoff", lambda raw: float(raw) if raw.strip() else None)
-    lock = _check("[lock]", LockConfig, lowpass_cutoff=cutoff, disturbance=disturbance,
+    lock = _check("[lock]", LockConfig, lock_het, lowpass_cutoff=cutoff, disturbance=disturbance,
                   Omega_prime=f("lock", "omega_prime"), theta=f("lock", "theta"),
                   demod_phase=f("lock", "demod_phase"), kp=f("lock", "kp"),
                   ki=f("lock", "ki"), dt=f("lock", "dt"), duration=f("lock", "duration"),
                   lock_tolerance=f("lock", "lock_tolerance"))
-    lock_het = _check("[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
-                      phi1=phibar0, phi2=phibar0, amplitude=f("lock", "amplitude"))
-    _check("[lock]", validate_lock, lock_het, lock)
     mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
 
     snapshot = {s: dict(parser[s]) for s in parser.sections()}
@@ -204,7 +203,7 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
         correlation_iota_max=correlation_iota_max,
         correlation_points=correlation_points,
         correlation_periods=correlation_periods,
-        lock=lock, lock_heterodyne=lock_het,
+        lock=lock,
         lock_mean=complex(mean_real, mean_imag),
         snapshot=snapshot,
     )
@@ -272,8 +271,7 @@ def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def run_lock(cfg: ExperimentConfig) -> tuple[list, list]:
-    trajectory = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne, cfg.lock,
-                                      eta=cfg.opo.eta)
+    trajectory = closed_loop_simulate(cfg.lock_mean, cfg.lock, eta=cfg.opo.eta)
     n = len(trajectory.phibar)
     stride = max(1, n // 4000)
     # the decimated axis directly: trajectory.time would build all n steps

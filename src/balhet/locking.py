@@ -48,14 +48,17 @@ _LOCK_BLOCK = 4096
 
 @dataclass(frozen=True)
 class LockConfig:
-    """Modulation, demodulation, and loop-controller settings.
+    """Oscillator geometry, modulation, demodulation, and loop-controller settings.
 
     ``lowpass_cutoff = None`` resolves to one tenth of the demodulation
     frequency.  ``disturbance`` is an optional phase-noise trajectory
     (rad as a function of time) added common-mode to both oscillator
     phases.  ``lock_tolerance`` declares when the loop counts as locked.
+    Construction checks each field, then the rules that tie the
+    modulation to the oscillators.
     """
 
+    heterodyne: HeterodyneConfig
     Omega_prime: float
     theta: float = 0.2
     demod_phase: float = 0.0
@@ -81,11 +84,28 @@ class LockConfig:
             raise ValueError(f"lowpass_cutoff must lie in (0, inf), got {self.lowpass_cutoff}")
         if not 0 < self.lock_tolerance < math.inf:
             raise ValueError(f"lock_tolerance must lie in (0, inf), got {self.lock_tolerance}")
+        Omega = self.heterodyne.Omega
+        if not self.Omega_prime < Omega:
+            raise ValueError("modulation frequency must lie below the heterodyne offset")
+        max_dt = TWO_PI / 20.0 / Omega  # 20.0 * Omega would overflow near the float maximum
+        if not self.dt < max_dt:
+            raise ValueError(f"dt = {self.dt} too coarse; need dt < {max_dt}")
+        power_defect = bessel_truncation(self.theta).residual
+        if not power_defect < TRUNCATION_POWER_TOL:
+            raise ValueError(
+                f"modulation depth {self.theta} leaves {power_defect:.3f} of the "
+                "sideband power outside the two-sideband picture"
+            )
+        nu = Omega - self.Omega_prime
+        if not self.cutoff < nu:
+            raise DemodClash(f"lowpass_cutoff: must lie below the demodulation "
+                             f"frequency {nu}, got {self.cutoff}")
 
-    def cutoff(self, cfg: HeterodyneConfig) -> float:
+    @property
+    def cutoff(self) -> float:
         if self.lowpass_cutoff is not None:
             return self.lowpass_cutoff
-        return (cfg.Omega - self.Omega_prime) / 10.0
+        return (self.heterodyne.Omega - self.Omega_prime) / 10.0
 
 
 @dataclass(frozen=True)
@@ -142,26 +162,6 @@ def bessel_truncation(theta: float) -> BesselTruncation:
     return BesselTruncation(j0=j0, j1=j1, residual=residual)
 
 
-def validate_lock(cfg: HeterodyneConfig, lock: LockConfig) -> None:
-    """Check the joint invariants of the oscillator and lock settings."""
-    if not lock.Omega_prime < cfg.Omega:
-        raise ValueError("modulation frequency must lie below the heterodyne offset")
-    if not lock.dt < TWO_PI / (20.0 * cfg.Omega):
-        raise ValueError(
-            f"dt = {lock.dt} too coarse; need dt < {TWO_PI / (20 * cfg.Omega)}"
-        )
-    power_defect = bessel_truncation(lock.theta).residual
-    if not power_defect < TRUNCATION_POWER_TOL:
-        raise ValueError(
-            f"modulation depth {lock.theta} leaves {power_defect:.3f} of the "
-            "sideband power outside the two-sideband picture"
-        )
-    nu = cfg.Omega - lock.Omega_prime
-    if not lock.cutoff(cfg) < nu:
-        raise DemodClash(f"lowpass_cutoff: must lie below the demodulation "
-                         f"frequency {nu}, got {lock.cutoff(cfg)}")
-
-
 def _folded_sin(freq_cycles, t, phase=0.0):
     cycles = freq_cycles * np.asarray(t, dtype=float)
     return np.sin(TWO_PI * (cycles - np.floor(cycles)) + phase)
@@ -172,8 +172,9 @@ def _folded_cis(freq_cycles, t, phase=0.0):
     return np.exp(1j * (TWO_PI * (cycles - np.floor(cycles)) + phase))
 
 
-def _lo_superposition_modulated(cfg: HeterodyneConfig, lock: LockConfig, t):
+def _lo_superposition_modulated(lock: LockConfig, t):
     """Rotating-frame oscillator sum with common phase modulation applied."""
+    cfg = lock.heterodyne
     f_het = cfg.Omega / TWO_PI
     f_mod = lock.Omega_prime / TWO_PI
     modulation = lock.theta * _folded_sin(f_mod, t)
@@ -182,8 +183,7 @@ def _lo_superposition_modulated(cfg: HeterodyneConfig, lock: LockConfig, t):
     return cfg.amplitude * (lo1 + lo2)
 
 
-def error_line_prediction(mean: complex, cfg: HeterodyneConfig,
-                          lock: LockConfig, eta: float = 1.0) -> complex:
+def error_line_prediction(mean: complex, lock: LockConfig, eta: float = 1.0) -> complex:
     """Analytic Fourier coefficient of the photocurrent at +(Omega - Omega').
 
     The sideband expansion puts the demodulation line at
@@ -192,22 +192,21 @@ def error_line_prediction(mean: complex, cfg: HeterodyneConfig,
 
     whose coefficient at exp(+i nu t) is returned.
     """
-    validate_lock(cfg, lock)
+    cfg = lock.heterodyne
     j1 = bessel_truncation(lock.theta).j1
     slope = quadrature_mean_slope(mean, cfg.phibar)
     amp = -2.0 * eta * cfg.amplitude * j1 * slope
     return amp * np.exp(1j * cfg.dphi) / 2j
 
 
-def _block_inputs(cfg: HeterodyneConfig, lock: LockConfig, mean_conj: complex,
-                  eta: float, t):
+def _block_inputs(lock: LockConfig, mean_conj: complex, eta: float, t):
     """Zip one block's feedback-independent step inputs, each a list of floats.
 
     The arrays die on return, so the step loop holds only the lists.
     """
-    nu = cfg.Omega - lock.Omega_prime
-    c0 = _lo_superposition_modulated(cfg, lock, t)
-    base = eta * (np.abs(c0) ** 2 - 2.0 * cfg.amplitude ** 2)  # zero-mean LO beat
+    nu = lock.heterodyne.Omega - lock.Omega_prime
+    c0 = _lo_superposition_modulated(lock, t)
+    base = eta * (np.abs(c0) ** 2 - 2.0 * lock.heterodyne.amplitude ** 2)  # zero-mean LO beat
     beat = mean_conj * c0
     ref = -2.0 * _folded_sin(nu / TWO_PI, t, lock.demod_phase)
     disturb = np.asarray((lock.disturbance or np.zeros_like)(t), float) * np.ones_like(t)
@@ -215,8 +214,7 @@ def _block_inputs(cfg: HeterodyneConfig, lock: LockConfig, mean_conj: complex,
                disturb.tolist())
 
 
-def _demodulate(mean: complex, cfg: HeterodyneConfig,
-                lock: LockConfig, eta: float, n: int):
+def _demodulate(mean: complex, lock: LockConfig, eta: float, n: int):
     """Mix, low-pass and PI-correct ``n`` steps of the phase lock.
 
     Per step: evaluate the mean photocurrent at the current common-mode
@@ -224,11 +222,8 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
     the reference ``-2 sin((Omega - Omega')t + demod_phase)``, low-pass,
     and apply the PI law; the actuator shifts both oscillator phases
     equally, moving phibar while leaving dphi untouched.  Zero gains give
-    the open-loop error signal.  Returns ``(phibar, error)``.  Callers
-    check the settings with ``validate_lock`` first.
+    the open-loop error signal.  Returns ``(phibar, error)``.
     """
-    cutoff = lock.cutoff(cfg)
-
     # The feedback-independent pieces are vectorized one block at a time,
     # so the loop holds only its two returned arrays plus one block's input
     # and output lists.  The actuator and disturbance enter both oscillator
@@ -236,8 +231,8 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
     # field is b0 exp(i psi) and 2 Re(b0 exp(i psi)) = 2 (br cos psi - bi
     # sin psi), rounded as complex multiplication rounds it.
     mean_conj = eta * np.conj(complex(mean))
-    alpha = 1.0 - math.exp(-cutoff * lock.dt)
-    dt, kp, ki, phibar0 = lock.dt, lock.kp, lock.ki, cfg.phibar
+    alpha = 1.0 - math.exp(-lock.cutoff * lock.dt)
+    dt, kp, ki, phibar0 = lock.dt, lock.kp, lock.ki, lock.heterodyne.phibar
     cos, sin = math.cos, math.sin
 
     phibar = np.empty(n)
@@ -249,7 +244,7 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
         k = min(_LOCK_BLOCK, n - j)
         phibar_b = []
         error_b = []
-        for b, br, bi, r, d in _block_inputs(cfg, lock, mean_conj, eta,
+        for b, br, bi, r, d in _block_inputs(lock, mean_conj, eta,
                                              np.arange(j, j + k) * dt):
             psi = u + d
             j_ac = b + 2.0 * (br * cos(psi) - bi * sin(psi))
@@ -263,8 +258,7 @@ def _demodulate(mean: complex, cfg: HeterodyneConfig,
     return phibar, error
 
 
-def error_signal(mean: complex, cfg: HeterodyneConfig,
-                 lock: LockConfig, eta: float = 1.0, *,
+def error_signal(mean: complex, lock: LockConfig, eta: float = 1.0, *,
                  average_time: float) -> float:
     """Demodulated DC error for the current oscillator phases.
 
@@ -273,13 +267,12 @@ def error_signal(mean: complex, cfg: HeterodyneConfig,
     filter time constants.  Pass ``average_time`` as a multiple of the
     common beat period for exact rejection of every residual line.
     """
-    validate_lock(cfg, lock)
     # long enough that the filter's startup transient is below rounding
-    settle_time = 30.0 / lock.cutoff(cfg)
+    settle_time = 30.0 / lock.cutoff
     n_avg = max(1, int(round(average_time / lock.dt)))
     n_settle = int(math.ceil(settle_time / lock.dt))
     open_loop = replace(lock, kp=0.0, ki=0.0, disturbance=None)
-    _, error = _demodulate(mean, cfg, open_loop, eta, n_settle + n_avg)
+    _, error = _demodulate(mean, open_loop, eta, n_settle + n_avg)
     return float(np.mean(error[n_settle:]))
 
 
@@ -287,8 +280,8 @@ def _wrap_angle(x):
     return (x + math.pi) % TWO_PI - math.pi
 
 
-def closed_loop_simulate(mean: complex, cfg: HeterodyneConfig,
-                         lock: LockConfig, eta: float = 1.0) -> LockTrajectory:
+def closed_loop_simulate(mean: complex, lock: LockConfig,
+                         eta: float = 1.0) -> LockTrajectory:
     """Run the discrete-time PI phase-locking loop for ``lock.duration``.
 
     ``mean`` is the detected field's mean amplitude ``<a>``, all that the
@@ -298,9 +291,8 @@ def closed_loop_simulate(mean: complex, cfg: HeterodyneConfig,
     not settled onto a stable extremum of the quadrature mean within the
     configured duration.
     """
-    validate_lock(cfg, lock)
     n = int(round(lock.duration / lock.dt))
-    phibar, error = _demodulate(mean, cfg, lock, eta, n)
+    phibar, error = _demodulate(mean, lock, eta, n)
 
     m = complex(mean)
     if m == 0:

@@ -176,20 +176,20 @@ def test_criterion_8_phase_lock():
         state = coherent_state(mean)
         cfg = bh.HeterodyneConfig(Omega=TWO_PI * 1280.0, phi1=0.3, phi2=0.3,
                                   amplitude=0.1)
-        lock = bh.LockConfig(Omega_prime=TWO_PI * 1152.0, theta=0.2)
+        lock = bh.LockConfig(cfg, Omega_prime=TWO_PI * 1152.0, theta=0.2)
 
-        trajectory = bh.closed_loop_simulate(mean, cfg, lock)
+        trajectory = bh.closed_loop_simulate(mean, lock)
         assert trajectory.locked
         assert abs(trajectory.phibar[-1]) < 1e-3
 
         residual = bh.bessel_truncation(0.2).residual
         assert residual < 1e-3
-        proj = error_line_projection(state, cfg, lock,
+        proj = error_line_projection(state, lock,
                                      duration=0.25, samples=2 ** 15)
-        pred = bh.error_line_prediction(mean, cfg, lock)
+        pred = bh.error_line_prediction(mean, lock)
         assert abs(proj - pred) <= residual * abs(pred)
 
-        vacuum_error = bh.error_signal(0j, cfg, lock,
+        vacuum_error = bh.error_signal(0j, lock,
                                        average_time=0.125)
         assert abs(vacuum_error) < 1e-12
 

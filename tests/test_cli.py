@@ -90,10 +90,7 @@ class TestConfigLoading:
         assert ref.opo == default.opo
         assert ref.heterodyne == default.heterodyne
         assert ref.welch == default.welch
-        assert ref.lock_heterodyne == default.lock_heterodyne
-        for key in ("Omega_prime", "theta", "demod_phase", "lowpass_cutoff",
-                    "kp", "ki", "dt", "duration", "lock_tolerance"):
-            assert getattr(ref.lock, key) == getattr(default.lock, key)
+        assert ref.lock == default.lock
 
 
 class TestArtifacts:
@@ -189,10 +186,9 @@ class TestArtifacts:
         summary = json.loads((out / "lock_summary.json").read_text())
         cfg = load_config(str(conf), mode="lock")
         sine = replace(cfg.lock, disturbance=lambda t: 0.001 * np.sin(50.0 * np.asarray(t)))
-        expected = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne, sine,
-                                        eta=cfg.opo.eta)
-        quiet = closed_loop_simulate(cfg.lock_mean, cfg.lock_heterodyne,
-                                     replace(cfg.lock, disturbance=None), eta=cfg.opo.eta)
+        expected = closed_loop_simulate(cfg.lock_mean, sine, eta=cfg.opo.eta)
+        quiet = closed_loop_simulate(cfg.lock_mean, replace(cfg.lock, disturbance=None),
+                                     eta=cfg.opo.eta)
         assert summary["locked"] is True
         assert summary["residual_rms"] == expected.residual_rms > quiet.residual_rms
         _, cols = read_csv(str(out / "lock_trajectory.csv"))
@@ -373,7 +369,9 @@ class TestExitCodes:
          "[heterodyne] phi1 +/- phi2 must be finite"),
         ("montecarlo", "[heterodyne]\nphi1 = 1e308\nphi2 = -1e308\n",
          "[heterodyne] phi1 +/- phi2 must be finite"),
-        ("lock", "[lock]\nphibar0 = 1e308\n", "[lock] phi1 +/- phi2 must be finite"),
+        ("lock", "[lock]\nphibar0 = 1e308\n", "[lock] phibar0"),
+        # the dt bound 2 pi / (20 omega) is finite where 20 * omega overflows
+        ("spectrum", "[lock]\nomega = 1e308\n", "need dt < 3.14159265358979e-309"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "lock_tolerance_zero",
             "spectrum_points",
             "figure3_points", "omega_max_inf", "omega_max_span_overflow",
@@ -391,7 +389,8 @@ class TestExitCodes:
             "amplitude_power_overflow", "lock_amplitude_power_overflow",
             "unknown_section", "duplicate_key", "duplicate_section", "no_section_header",
             "unparsable_line", "not_utf8", "percent_sign", "percent_reference",
-            "run_mode_removed", "phibar_overflow", "dphi_overflow", "lock_phibar0_overflow"])
+            "run_mode_removed", "phibar_overflow", "dphi_overflow", "lock_phibar0_overflow",
+            "lock_dt_bound_overflow"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_bytes(ini if isinstance(ini, bytes) else ini.encode())

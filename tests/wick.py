@@ -259,19 +259,17 @@ def quadrature_mean(mean: complex, phibar: float) -> float:
     return 2.0 * (m.real * np.cos(phibar) + m.imag * np.sin(phibar))
 
 
-def mean_photocurrent(state: GaussianFieldState, cfg: HeterodyneConfig,
-                      lock: LockConfig, t, eta: float = 1.0):
+def mean_photocurrent(state: GaussianFieldState, lock: LockConfig, t, eta: float = 1.0):
     """Mean photocurrent eta <I(t)> with phase-modulated oscillators.
 
     The full trigonometric form is evaluated (no sideband truncation), so
     the Bessel picture can be tested against it.
     """
-    c = _lo_superposition_modulated(cfg, lock, t)
+    c = _lo_superposition_modulated(lock, t)
     return eta * (np.abs(c + state.mean_amplitude) ** 2 + np.real(state.gamma11(0.0)))
 
 
-def error_line_projection(state: GaussianFieldState, cfg: HeterodyneConfig,
-                          lock: LockConfig, eta: float = 1.0,
+def error_line_projection(state: GaussianFieldState, lock: LockConfig, eta: float = 1.0,
                           duration: float = 1.0,
                           samples: int = 2 ** 16) -> complex:
     """Numeric Fourier coefficient of the photocurrent at +(Omega - Omega').
@@ -281,6 +279,6 @@ def error_line_projection(state: GaussianFieldState, cfg: HeterodyneConfig,
     commensurate) for the projection to isolate the line exactly.
     """
     t = np.arange(samples) * (duration / samples)
-    j = mean_photocurrent(state, cfg, lock, t, eta)
-    nu_cycles = (cfg.Omega - lock.Omega_prime) / TWO_PI
+    j = mean_photocurrent(state, lock, t, eta)
+    nu_cycles = (lock.heterodyne.Omega - lock.Omega_prime) / TWO_PI
     return complex(np.mean(j * _folded_cis(-nu_cycles, t)))
