@@ -29,7 +29,7 @@ from . import __version__
 from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature_form,
                           time_average_reduce)
 from .errors import MAX_LENGTH, BalhetError, ConfigInvalid, InsufficientAveraging
-from .field import HeterodyneConfig, OpoParams, opo_field_state, opo_spectra
+from .field import MAX_PHASE, HeterodyneConfig, OpoParams, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate
 from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
                          monte_carlo_homodyne)
@@ -46,7 +46,7 @@ REFERENCE_INI = os.path.join(os.path.dirname(__file__), "reference.ini")
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment settings with the raw key/value snapshot."""
+    """Validated experiment settings with the snapshot of every parsed value."""
 
     mode: str
     seed: int
@@ -96,20 +96,6 @@ _NYQUIST = (lambda v: v > 0 and math.pi * v < math.inf,
             "positive with a finite angular Nyquist frequency pi * sample_rate")
 
 
-def _get(parser, section, key, conv, rule=None):
-    """Convert one value; ``rule`` is an optional (predicate, description)."""
-    raw = parser.get(section, key)
-    try:
-        value = conv(raw)
-    except ValueError:
-        raise ConfigInvalid(f"[{section}] {key}: cannot parse {raw!r}") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigInvalid(f"[{section}] {key}: must be finite, got {raw!r}")
-    if rule is not None and not rule[0](value):
-        raise ConfigInvalid(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
-    return value
-
-
 def _check(where, check, *args, **kwargs):
     """Call a library constructor or check; refuse under ``where`` if it raises."""
     try:
@@ -123,15 +109,30 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
     """Parse and validate an INI config for ``mode``, applying CLI overrides;
     the checks run in a fixed order, and the first fault is refused."""
     parser = _parser_with_defaults(path)
-    f = lambda s, k, rule=None: _get(parser, s, k, float, rule)
-    i = lambda s, k, rule=None: _get(parser, s, k, int, rule)
+    if seed is not None:
+        parser.set("run", "seed", str(seed))
+    snapshot = {"run": {"mode": mode}}  # the hashed config: each value as read
+
+    def read(section, key, conv, rule=None):
+        """Convert, check and record one value; ``rule`` is (predicate, description)."""
+        raw = parser.get(section, key)
+        try:
+            value = conv(raw)
+        except ValueError:
+            raise ConfigInvalid(f"[{section}] {key}: cannot parse {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigInvalid(f"[{section}] {key}: must be finite, got {raw!r}")
+        if rule is not None and not rule[0](value):
+            raise ConfigInvalid(f"[{section}] {key}: must be {rule[1]}, got {raw!r}")
+        snapshot.setdefault(section, {})[key] = value
+        return value
+    f = lambda s, k, rule=None: read(s, k, float, rule)
+    i = lambda s, k, rule=None: read(s, k, int, rule)
 
     if mode not in RUNNERS:
         raise ConfigInvalid(f"mode must be one of {tuple(RUNNERS)}, got {mode!r}")
-    eff_seed = seed if seed is not None else i("run", "seed")
-    if eff_seed < 0:
-        raise ConfigInvalid(f"[run] seed: must be non-negative, got {eff_seed}")
-    eff_out = out or parser.get("run", "out")
+    seed = i("run", "seed", (lambda v: v >= 0, "non-negative"))
+    out = out or parser.get("run", "out")  # not recorded, so not hashed
 
     opo = _check("[opo]", OpoParams, gamma=f("opo", "gamma"),
                  epsilon=f("opo", "epsilon"), eta=f("opo", "eta"))
@@ -141,7 +142,7 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
     welch = _check("[montecarlo]", WelchConfig,
                    segment_length=i("montecarlo", "segment_length"),
                    overlap=f("montecarlo", "overlap"),
-                   window=parser.get("montecarlo", "window"))
+                   window=read("montecarlo", "window", str))
 
     grid_omega_max, grid_points = f("grid", "omega_max"), i("grid", "points")
     if mode == "spectrum":
@@ -172,8 +173,7 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
         except InsufficientAveraging as exc:
             raise ConfigInvalid(f"[correlation] {exc}") from None
 
-    # both oscillator phases start at phibar0, so their sum is 2 * phibar0
-    phibar0 = f("lock", "phibar0", (lambda v: math.isfinite(2.0 * v), "finite when doubled"))
+    phibar0 = f("lock", "phibar0", (lambda v: abs(v) <= MAX_PHASE, f"within +/-{MAX_PHASE} rad"))
     lock_het = _check("[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
                       phi1=phibar0, phi2=phibar0, amplitude=f("lock", "amplitude"))
     dist_amp = f("lock", "disturbance_amplitude")
@@ -182,7 +182,7 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
     if dist_amp and dist_omega:
         disturbance = _sine_disturbance(dist_amp, dist_omega)
     # a blank cutoff is None, which LockConfig resolves from the demodulation frequency
-    cutoff = _get(parser, "lock", "lowpass_cutoff", lambda raw: float(raw) if raw.strip() else None)
+    cutoff = read("lock", "lowpass_cutoff", lambda raw: float(raw) if raw.strip() else None)
     lock = _check("[lock]", LockConfig, lock_het, lowpass_cutoff=cutoff, disturbance=disturbance,
                   Omega_prime=f("lock", "omega_prime"), theta=f("lock", "theta"),
                   demod_phase=f("lock", "demod_phase"), kp=f("lock", "kp"),
@@ -190,13 +190,8 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
                   lock_tolerance=f("lock", "lock_tolerance"))
     mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
 
-    snapshot = {s: dict(parser[s]) for s in parser.sections()}
-    del snapshot["run"]["out"]  # where the artifacts go is not what they hold
-    snapshot["run"]["mode"] = mode
-    snapshot["run"]["seed"] = str(eff_seed)
-
     return ExperimentConfig(
-        mode=mode, seed=eff_seed, out=eff_out, opo=opo, heterodyne=het,
+        mode=mode, seed=seed, out=out, opo=opo, heterodyne=het,
         grid_omega_max=grid_omega_max, grid_points=grid_points,
         welch=welch, mc_sample_rate=mc_sample_rate,
         mc_segments=mc_segments, overlay_seeds=overlay_seeds,

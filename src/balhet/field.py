@@ -25,13 +25,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ThresholdDivergence
+
+MAX_PHASE = 2 ** 20  # rad; the float spacing there is 2.3e-10 rad
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ class HeterodyneConfig:
         if not (0.0 < self.amplitude and 4.0 * self.amplitude * self.amplitude < np.inf):
             raise ValueError(f"amplitude must be positive with a finite oscillator power "
                              f"4 * amplitude**2, got {self.amplitude}")
-        if not (math.isfinite(self.phi1 + self.phi2) and math.isfinite(self.phi2 - self.phi1)):
-            raise ValueError(f"phi1 +/- phi2 must be finite, got {self.phi1} and {self.phi2}")
+        if not (abs(self.phi1) <= MAX_PHASE and abs(self.phi2) <= MAX_PHASE):
+            raise ValueError(f"phi1 and phi2 must lie in [-{MAX_PHASE}, {MAX_PHASE}] rad, "
+                             f"got {self.phi1} and {self.phi2}")
 
     @property
     def phibar(self) -> float:

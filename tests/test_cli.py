@@ -37,6 +37,15 @@ def read_bytes(path):
         return handle.read()
 
 
+def write_ini(path, values):
+    """Write {(section, key): value} as an INI file, one header per section."""
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    with open(path, "w") as handle:
+        handle.write("".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items()))
+
+
 def read_csv(path):
     """Read back a package CSV: returns (meta dict, column dict of arrays)."""
     with open(path) as handle:
@@ -80,7 +89,7 @@ class TestConfigLoading:
     def test_seed_override(self):
         cfg = load_config(None, mode="spectrum", seed=777)
         assert cfg.seed == 777
-        assert cfg.snapshot["run"]["seed"] == "777"
+        assert cfg.snapshot["run"]["seed"] == 777
 
     def test_shipped_reference_config_matches_defaults(self):
         ref_path = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -148,6 +157,11 @@ class TestArtifacts:
         manifest = json.loads((out / "montecarlo_manifest.json").read_text())
         # 512 + 31 steps of 256, transformed at the 5-smooth 2^6 3^3 5
         assert (manifest["samples"], manifest["transform_length"]) == (8448, 8640)
+        # the config echo is the parsed snapshot: typed values, no output directory
+        assert manifest["config"] == load_config(str(cfgfile), mode="montecarlo").snapshot
+        assert "out" not in manifest["config"]["run"]
+        assert type(manifest["config"]["grid"]["points"]) is int
+        assert manifest["config"]["grid"]["points"] == 1001
 
     def test_correlation_table(self, tmp_path):
         out = tmp_path / "out"
@@ -287,6 +301,35 @@ class TestDeterminism:
                      "figure3_d.csv", "figure3.svg"):
             assert read_bytes(out1 / name) == read_bytes(out2 / name)
 
+    # each pair spells one run two ways: (options, config values) per side, where
+    # {out} is that side's output directory, passed as --out if no side names it
+    @pytest.mark.parametrize("left, right", [
+        (([], {("opo", "gamma"): "1"}), ([], {("opo", "gamma"): "1.0"})),
+        (([], {("heterodyne", "omega"): "0.05"}), ([], {("heterodyne", "omega"): "5e-2"})),
+        (([], {("correlation", "averaging_periods"): "40"}),
+         ([], {("correlation", "averaging_periods"): "40.0"})),
+        ((["--seed", "7"], {}), ([], {("run", "seed"): "7"})),
+        ((["--out", "{out}"], {}), ([], {("run", "out"): "{out}"})),
+    ], ids=["gamma_int", "omega_exponent", "averaging_periods_int", "seed_option",
+            "out_option"])
+    @pytest.mark.parametrize("mode", RUNNERS)
+    def test_spelling_leaves_artifacts_alike(self, tmp_path, mode, left, right):
+        # the config hash holds the parsed values, so every byte matches
+        artifacts = []
+        for k, (options, values) in enumerate((left, right)):
+            out = str(tmp_path / f"r{k}")
+            conf = tmp_path / f"r{k}.ini"
+            write_ini(conf, {("opo", "epsilon"): "0.3", ("montecarlo", "segments"): "24",
+                             ("montecarlo", "segment_length"): "512",
+                             **{entry: v.format(out=out) for entry, v in values.items()}})
+            argv = [mode, "--config", str(conf), *(o.format(out=out) for o in options)]
+            if "--out" not in left[0] + right[0]:
+                argv += ["--out", out]
+            assert run_cli(*argv) == 0
+            artifacts.append({name: read_bytes(os.path.join(out, name))
+                              for name in sorted(os.listdir(out))})
+        assert artifacts[0] == artifacts[1]
+
 
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
@@ -364,12 +407,16 @@ class TestExitCodes:
          "[opo] gamma: cannot parse '%(nothing)s'"),
         # the subcommand names the mode; a config cannot contradict it
         ("spectrum", "[run]\nmode = lock\n", "unknown key 'mode' in section [run]"),
-        # finite phases whose half-sum phibar or half-difference dphi overflows
+        # phases are angles: past 2**20 rad a phase keeps too few digits below 2 pi,
+        # and these once overflowed in the half-sum phibar or half-difference dphi
         ("spectrum", "[heterodyne]\nphi1 = 1e308\nphi2 = 1e308\n",
-         "[heterodyne] phi1 +/- phi2 must be finite"),
+         "[heterodyne] phi1 and phi2 must lie in [-1048576, 1048576] rad"),
         ("montecarlo", "[heterodyne]\nphi1 = 1e308\nphi2 = -1e308\n",
-         "[heterodyne] phi1 +/- phi2 must be finite"),
+         "[heterodyne] phi1 and phi2 must lie in [-1048576, 1048576] rad"),
         ("lock", "[lock]\nphibar0 = 1e308\n", "[lock] phibar0"),
+        # these once exited 0 with a flat 1.0 spectrum, and 3 blaming the loop
+        ("spectrum", "[heterodyne]\nphi1 = 1e300\nphi2 = 1e300\n", "[heterodyne] phi1 and phi2"),
+        ("lock", "[lock]\nphibar0 = 4e12\n", "[lock] phibar0: must be within +/-1048576 rad"),
         # the dt bound 2 pi / (20 omega) is finite where 20 * omega overflows
         ("spectrum", "[lock]\nomega = 1e308\n", "need dt < 3.14159265358979e-309"),
     ], ids=["omega_prime", "dt", "theta", "lowpass_nan", "lock_tolerance_zero",
@@ -390,7 +437,7 @@ class TestExitCodes:
             "unknown_section", "duplicate_key", "duplicate_section", "no_section_header",
             "unparsable_line", "not_utf8", "percent_sign", "percent_reference",
             "run_mode_removed", "phibar_overflow", "dphi_overflow", "lock_phibar0_overflow",
-            "lock_dt_bound_overflow"])
+            "phase_huge", "lock_phibar0_huge", "lock_dt_bound_overflow"])
     def test_config_errors_exit_two(self, tmp_path, capsys, mode, ini, where):
         conf = tmp_path / "exp.ini"
         conf.write_bytes(ini if isinstance(ini, bytes) else ini.encode())
@@ -821,14 +868,9 @@ def test_every_mode_runs_or_refuses(tmp_path, capsys, mode, svg, seed, values, e
     # or numerical refusal of one line that writes nothing
     if extreme is not None:
         values = {**values, extreme[0]: extreme[1]}
-    sections = {}
-    for (section, key), value in values.items():
-        sections.setdefault(section, []).append(f"{key} = {value}")
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         conf = os.path.join(tmp, "exp.ini")
-        with open(conf, "w") as handle:
-            for section, lines in sections.items():
-                handle.write(f"[{section}]\n" + "\n".join(lines) + "\n")
+        write_ini(conf, values)
         out = os.path.join(tmp, "out")
         argv = [mode, "--config", conf, "--seed", str(seed), "--out", out]
         capsys.readouterr()

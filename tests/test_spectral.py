@@ -1,10 +1,14 @@
 """Spectral engine: heterodyne/homodyne noise spectra."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import balhet as bh
 from balhet.errors import NonPhysicalSpectrum
+from balhet.field import MAX_PHASE
 
 FLAT = bh.QuadratureBranches(
     xx=lambda w: np.zeros_like(np.asarray(w, dtype=float)),
@@ -185,6 +189,29 @@ class TestHomodyneSpectrum:
         direct = (1.0 + 0.9 * (spectra.xx(w) * np.cos(phibar) ** 2
                                + spectra.pp(w) * np.sin(phibar) ** 2))
         assert np.allclose(sd.chi_normalized, direct, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi1=st.floats(allow_nan=False, allow_infinity=False),
+           phi2=st.floats(allow_nan=False, allow_infinity=False))
+    @example(phi1=2.0 ** 53, phi2=2.0 ** 53)
+    @example(phi1=1e300, phi2=1e300)
+    @example(phi1=MAX_PHASE, phi2=MAX_PHASE - 0.4)
+    @example(phi1=-MAX_PHASE, phi2=1.0)
+    def test_phase_is_an_angle(self, phi1, phi2):
+        # a phase is refused or measured at its angle; phases of 2**53 and more once
+        # dropped every weight and read the flat floor 1.0 of a squeezed source
+        try:
+            phibar = bh.HeterodyneConfig(Omega=0.05, phi1=phi1, phi2=phi2).phibar
+        except ValueError:
+            return
+        gamma, eps, eta = 1.0, 0.3, 0.7
+        sd = bh.homodyne_spectrum(bh.opo_spectra(bh.OpoParams(gamma, eps, eta)),
+                                  phibar, eta, [0.0])
+        # phi11 and phi22 at w = 0, from their closed forms
+        xx = -(2.0 / eta) * eps * gamma / (gamma / 2.0 + eps) ** 2
+        pp = (2.0 / eta) * eps * gamma / (gamma / 2.0 - eps) ** 2
+        expected = 1.0 + eta * (math.cos(phibar) ** 2 * xx + math.sin(phibar) ** 2 * pp)
+        assert sd.chi_normalized[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def split_lorentzians(params, Omega, omega):
