@@ -31,10 +31,10 @@ from .correlation import (check_averaging, lambda_prime, lambda_prime_quadrature
 from .errors import MAX_LENGTH, BalhetError, ConfigInvalid, InsufficientAveraging
 from .field import MAX_PHASE, HeterodyneConfig, OpoParams, opo_field_state, opo_spectra
 from .locking import LockConfig, closed_loop_simulate
-from .montecarlo import (WelchConfig, _fast_length, check_alias, monte_carlo_heterodyne,
-                         monte_carlo_homodyne)
+from .montecarlo import (WelchConfig, _fast_length, check_alias, check_rate,
+                         monte_carlo_heterodyne, monte_carlo_homodyne)
 from .serialize import config_hash, write_json, write_spectral_csv, write_table_csv
-from .spectral import (check_grid, frequency_grid, heterodyne_spectrum, homodyne_spectrum,
+from .spectral import (frequency_grid, heterodyne_spectrum, homodyne_spectrum,
                        opo_heterodyne_closed_form)
 from .svgplot import Panel, write_svg
 
@@ -91,9 +91,6 @@ def _parser_with_defaults(path: str | None) -> configparser.ConfigParser:
 
 
 _POSITIVE = (lambda v: v > 0, "positive")
-# Welch's grid reaches the angular Nyquist frequency pi * sample_rate
-_NYQUIST = (lambda v: v > 0 and math.pi * v < math.inf,
-            "positive with a finite angular Nyquist frequency pi * sample_rate")
 
 
 def _check(where, check, *args, **kwargs):
@@ -106,8 +103,8 @@ def _check(where, check, *args, **kwargs):
 
 def load_config(path: str | None, *, mode: str, seed: int | None = None,
                 out: str | None = None) -> ExperimentConfig:
-    """Parse and validate an INI config for ``mode``, applying CLI overrides;
-    the checks run in a fixed order, and the first fault is refused."""
+    """Parse and check every key of an INI config, applying CLI overrides; the first fault,
+    in a fixed order, is refused.  No check depends on ``mode``: a runner checks what it builds."""
     parser = _parser_with_defaults(path)
     if seed is not None:
         parser.set("run", "seed", str(seed))
@@ -145,33 +142,14 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
                    window=read("montecarlo", "window", str))
 
     grid_omega_max, grid_points = f("grid", "omega_max"), i("grid", "points")
-    if mode == "spectrum":
-        _check("[grid]", check_grid, grid_omega_max, grid_points)
-    top = max(FIGURE3_RATIOS.values())  # figure3's widest grid, panel (c)'s, bounds the rest
-    if mode == "figure3":
-        _check(f"[opo] gamma and [grid] points (grid to 3 * gamma + {top} * gamma):",
-               check_grid, 3.0 * opo.gamma + top * opo.gamma, grid_points)
-    mc_sample_rate = f("montecarlo", "sample_rate", _NYQUIST)
+    mc_sample_rate = f("montecarlo", "sample_rate")
+    _check("[montecarlo] sample_rate:", check_rate, mc_sample_rate)
     overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
     mc_segments = i("montecarlo", "segments")
-    if mode == "montecarlo" or (mode == "figure3" and overlay_seeds > 0):
-        _check("[montecarlo]", welch.total_samples, mc_segments)
-        if mode == "montecarlo":
-            _check("[heterodyne] omega:", check_alias, het.Omega, mc_sample_rate)
-        else:
-            _check(f"[opo] gamma ({top} * gamma):", check_alias, top * opo.gamma,
-                   mc_sample_rate)
     correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
     correlation_points = i("correlation", "points",
                            (lambda v: 2 <= v <= MAX_LENGTH, f"in [2, {MAX_LENGTH}]"))
     correlation_periods = f("correlation", "averaging_periods")
-    if mode == "correlation":
-        try:
-            check_averaging(het.Omega, correlation_periods, correlation_iota_max)
-        except ValueError as exc:
-            raise ConfigInvalid(f"[heterodyne] {exc}") from None
-        except InsufficientAveraging as exc:
-            raise ConfigInvalid(f"[correlation] {exc}") from None
 
     phibar0 = f("lock", "phibar0", (lambda v: abs(v) <= MAX_PHASE, f"within +/-{MAX_PHASE} rad"))
     lock_het = _check("[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
@@ -215,9 +193,9 @@ def _spectrum_panel(title, curves, points=()):
 
 
 def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
+    grid = _check("[grid]", frequency_grid, cfg.grid_omega_max, cfg.grid_points,
+                  include=(cfg.heterodyne.Omega,))
     spectra = opo_spectra(cfg.opo)
-    grid = frequency_grid(cfg.grid_omega_max, cfg.grid_points,
-                          include=(cfg.heterodyne.Omega,))
     het = heterodyne_spectrum(spectra, cfg.heterodyne, cfg.opo.eta, grid)
     hom = homodyne_spectrum(spectra, cfg.heterodyne.phibar, cfg.opo.eta, grid)
     meta = {"config_hash": cfg.hash}
@@ -229,12 +207,13 @@ def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
+    n = _check("[montecarlo]", cfg.welch.total_samples, cfg.mc_segments)
+    _check("[heterodyne] omega:", check_alias, cfg.heterodyne.Omega, cfg.mc_sample_rate)
     mc = monte_carlo_heterodyne(cfg.opo, cfg.heterodyne, cfg.mc_sample_rate,
                                 cfg.mc_segments, cfg.welch, cfg.seed)
     analytic = heterodyne_spectrum(opo_spectra(cfg.opo), cfg.heterodyne,
                                    cfg.opo.eta, mc.omega_grid)
     meta = {"config_hash": cfg.hash, "seed": cfg.seed}
-    n = cfg.welch.total_samples(mc.config_snapshot["n_segments"])
     manifest = {"seed": cfg.seed, "config_hash": cfg.hash, "tool_version": __version__,
                 "n_segments": mc.config_snapshot["n_segments"],
                 "samples": n, "transform_length": _fast_length(n), "config": cfg.snapshot}
@@ -248,8 +227,14 @@ def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
-    kernels = opo_field_state(cfg.opo)
     het = cfg.heterodyne
+    try:  # the window's faults are config faults, refused before the source is built
+        check_averaging(het.Omega, cfg.correlation_periods, cfg.correlation_iota_max)
+    except ValueError as exc:
+        raise ConfigInvalid(f"[heterodyne] {exc}") from None
+    except InsufficientAveraging as exc:
+        raise ConfigInvalid(f"[correlation] {exc}") from None
+    kernels = opo_field_state(cfg.opo)
     tau = np.linspace(-cfg.correlation_iota_max, cfg.correlation_iota_max,
                       cfg.correlation_points)
     closed = lambda_prime(kernels, het, tau)
@@ -292,10 +277,17 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
     Monte-Carlo points overlay the curves when overlay_seeds > 0.
     """
     gamma = cfg.opo.gamma
+    grids = [_check(f"[opo] gamma and [grid] points (grid to 3 * gamma + {ratio} * gamma):",
+                    frequency_grid, 3.0 * gamma + ratio * gamma, cfg.grid_points,
+                    include=(ratio * gamma,)) for ratio in FIGURE3_RATIOS.values()]
+    if cfg.overlay_seeds > 0:
+        _check("[montecarlo]", cfg.welch.total_samples, cfg.mc_segments)
+        for ratio in FIGURE3_RATIOS.values():
+            _check(f"[opo] gamma ({ratio} * gamma):", check_alias, ratio * gamma,
+                   cfg.mc_sample_rate)
     curves, estimators = [], []
-    for label, ratio in FIGURE3_RATIOS.items():
+    for (label, ratio), grid in zip(FIGURE3_RATIOS.items(), grids):
         Om = ratio * gamma
-        grid = frequency_grid(3.0 * gamma + Om, cfg.grid_points, include=(Om,))
         curves.append((f"({label}) heterodyne, offset/damping = {ratio}",
                        opo_heterodyne_closed_form(cfg.opo, Om, grid)))
         het = HeterodyneConfig(Omega=Om)
@@ -355,12 +347,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_argument_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, mode=args.mode, seed=args.seed,
-                          out=args.out)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        cfg = load_config(args.config, mode=args.mode, seed=args.seed, out=args.out)
         # At extreme magnitudes numpy warns of overflow; the finiteness checks
         # refuse what matters, and a warning would break the one-line message.
         with np.errstate(all="ignore"):
@@ -371,6 +358,9 @@ def main(argv=None) -> int:
             for name, writer, *payload in artifacts:
                 paths.append(os.path.join(cfg.out, name))
                 writer(paths[-1], *payload)
+    except ConfigInvalid as exc:  # from load_config or a runner's check of what it builds
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (BalhetError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -79,6 +79,8 @@ def check_averaging(Omega: float, averaging_periods: float, iota_max: float) -> 
     """
     if not Omega > 0:
         raise ValueError(f"omega must be positive for time averaging, got {Omega}")
+    if not abs(iota_max) < np.inf:
+        raise ValueError(f"iota_max must be finite, got {iota_max}")
     if not averaging_periods >= 2 * MIN_BEAT_PERIODS:
         raise InsufficientAveraging(f"averaging_periods = T Omega / pi must be at least "
                                     f"{2 * MIN_BEAT_PERIODS}, got {averaging_periods}")

@@ -55,7 +55,7 @@ class LockConfig:
     (rad as a function of time) added common-mode to both oscillator
     phases.  ``lock_tolerance`` declares when the loop counts as locked.
     Construction checks each field, then the rules that tie the
-    modulation to the oscillators.
+    modulation to the oscillators; ``bessel_truncation`` checks ``theta``.
     """
 
     heterodyne: HeterodyneConfig
@@ -73,8 +73,6 @@ class LockConfig:
     def __post_init__(self):
         if not self.Omega_prime > 0:
             raise ValueError(f"Omega_prime must be positive, got {self.Omega_prime}")
-        if not 0 <= self.theta < math.inf:
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.dt <= self.duration <= self.dt * MAX_LENGTH:  # duration / dt loop steps
@@ -151,8 +149,8 @@ def bessel_truncation(theta: float) -> BesselTruncation:
     converges to it exponentially.  For n = 1 the cos(theta sin(phase))
     cos(phase) half averages to zero by symmetry.
     """
-    if theta < 0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
     phase = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     exact = np.exp(1j * theta * np.sin(phase))
     j0 = float(np.mean(exact.real))
@@ -267,6 +265,9 @@ def error_signal(mean: complex, lock: LockConfig, eta: float = 1.0, *,
     filter time constants.  Pass ``average_time`` as a multiple of the
     common beat period for exact rejection of every residual line.
     """
+    if not 0 < average_time / lock.dt <= MAX_LENGTH:  # NaN fails too
+        raise ValueError(f"average_time must be positive and at most {MAX_LENGTH} dt, "
+                         f"got {average_time}")
     # long enough that the filter's startup transient is below rounding
     settle_time = 30.0 / lock.cutoff
     n_avg = max(1, int(round(average_time / lock.dt)))

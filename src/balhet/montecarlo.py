@@ -43,8 +43,7 @@ class TimeSeries:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.sample_rate < np.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        check_rate(self.sample_rate)
         if len(self.samples) < 2:
             raise ValueError("need at least 2 samples")
 
@@ -94,6 +93,13 @@ def _fast_length(n: int) -> int:
     return best
 
 
+def check_rate(fs: float) -> None:
+    """Refuse a sample rate unless it and pi * fs, the top of Welch's grid, are finite and > 0."""
+    if not (fs > 0 and np.pi * float(fs) < np.inf):  # float() overflows without a warning
+        raise ValueError(f"sample rate must be positive with a finite angular Nyquist "
+                         f"frequency pi * fs, got {fs}")
+
+
 def check_alias(Omega: float, fs: float) -> None:
     """Refuse a beat offset at or above ALIAS_FRACTION of the angular sampling rate."""
     limit = ALIAS_FRACTION * 2.0 * np.pi * fs
@@ -134,8 +140,7 @@ def synthesize_quadrature(psd, n: int, fs: float, seed) -> TimeSeries:
     global _last
     if n < 2:
         raise ValueError("need at least 2 samples")
-    if not 0.0 < fs < np.inf:
-        raise ValueError(f"fs must be positive and finite, got {fs}")
+    check_rate(fs)
     m = _fast_length(n)
     key = (n, fs, seed, psd) if isinstance(seed, (int, np.integer)) else None
     last = _last

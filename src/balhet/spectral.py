@@ -41,22 +41,18 @@ class SpectralDensity:
     sigma: np.ndarray | None = None
 
 
-def check_grid(omega_max: float, points: int) -> None:
-    """Refuse a grid that ``frequency_grid`` cannot build, before allocating it."""
-    if not (0 < omega_max and 2.0 * omega_max < np.inf):  # linspace overflows the span
-        raise ValueError(f"omega_max must be positive with 2 * omega_max finite, got {omega_max}")
-    if not 3 <= points <= MAX_LENGTH:
-        raise ValueError(f"points must lie in [3, {MAX_LENGTH}], got {points}")
-
-
 def frequency_grid(omega_max: float, points: int, include=()) -> np.ndarray:
     """Symmetric two-sided grid on [-omega_max, omega_max].
 
     Any frequencies in ``include`` (and their negatives) are inserted
     exactly; the extrema of split heterodyne spectra sit at +/-Omega, so
-    grids for those curves should include the offset.
+    grids for those curves should include the offset.  A grid that cannot
+    be built is refused before it is allocated.
     """
-    check_grid(omega_max, points)
+    if not (0 < omega_max and 2.0 * omega_max < np.inf):  # linspace overflows the span
+        raise ValueError(f"omega_max must be positive with 2 * omega_max finite, got {omega_max}")
+    if not 3 <= points <= MAX_LENGTH:
+        raise ValueError(f"points must lie in [3, {MAX_LENGTH}], got {points}")
     grid = np.linspace(-omega_max, omega_max, int(points))
     extra = []
     for w in include:

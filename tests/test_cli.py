@@ -101,6 +101,16 @@ class TestConfigLoading:
         assert ref.welch == default.welch
         assert ref.lock == default.lock
 
+    def test_loading_ignores_the_mode(self):
+        # the mode is recorded, and nothing else that loads depends on it
+        def parts(cfg):
+            run = {k: v for k, v in cfg.snapshot["run"].items() if k != "mode"}
+            return (cfg.opo, cfg.heterodyne, cfg.welch, cfg.lock, {**cfg.snapshot, "run": run})
+        loaded = {mode: load_config(None, mode=mode) for mode in RUNNERS}
+        assert [cfg.snapshot["run"]["mode"] for cfg in loaded.values()] == list(RUNNERS)
+        for cfg in loaded.values():
+            assert parts(cfg) == parts(loaded["spectrum"])
+
 
 class TestArtifacts:
     def test_spectrum_schema_golden(self, tmp_path):
@@ -450,8 +460,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode, ini, first", [
         ("spectrum", "[opo]\ngamma = text\n[lock]\ntheta = 400\n", "[opo]\ngamma = text\n"),
+        # every key is checked at load, before the runner checks the grid it builds
         ("spectrum", "[grid]\npoints = 2\n[correlation]\niota_max = -2\n",
-         "[grid]\npoints = 2\n"),
+         "[correlation]\niota_max = -2\n"),
         # load order, not file order: [opo] is checked before [heterodyne]
         ("montecarlo", "[heterodyne]\nomega = nan\n[opo]\nepsilon = 2\n",
          "[opo]\nepsilon = 2\n"),
@@ -497,6 +508,30 @@ class TestExitCodes:
         conf = tmp_path / "exp.ini"
         conf.write_text(ini)
         assert run_cli(mode, "--config", str(conf), "--out", str(tmp_path / "o")) == 0
+
+    # a rule of what one mode builds, and the modes that build it
+    @pytest.mark.parametrize("values, owners", [
+        ({("grid", "points"): 2}, {"spectrum", "figure3"}),
+        ({("montecarlo", "segments"): 0, ("montecarlo", "overlay_seeds"): 1},
+         {"montecarlo", "figure3"}),
+        ({("correlation", "averaging_periods"): 10}, {"correlation"}),
+    ], ids=["grid_points", "overlay_segments", "averaging_periods"])
+    @pytest.mark.parametrize("mode", RUNNERS)
+    def test_mode_rule_binds_only_its_runner(self, tmp_path, capsys, mode, values, owners):
+        # every mode loads the config; only a runner that builds the object refuses it
+        conf = tmp_path / "exp.ini"
+        write_ini(conf, {("opo", "epsilon"): 0.3, ("montecarlo", "segments"): 24,
+                         ("montecarlo", "segment_length"): 512, **values})
+        load_config(str(conf), mode=mode)
+        out = tmp_path / "o"
+        code = run_cli(mode, "--config", str(conf), "--out", str(out))
+        err = capsys.readouterr().err
+        if mode in owners:
+            assert code == 2
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert (code, err) == (0, "")
 
     def test_physicality_error_is_three(self, tmp_path):
         # conjugate-quadrature Monte-Carlo with the pump at threshold needs

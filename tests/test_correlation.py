@@ -293,6 +293,14 @@ class TestTimeAverage:
         with pytest.raises(InsufficientAveraging, match="overflows the beat phase"):
             bh.time_average_reduce(k, cfg, 0.1, periods)
 
+    @pytest.mark.parametrize("iota", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lag_refused_by_name(self, iota):
+        # NaN was once blamed on an averaging window that overflows the beat phase
+        k = kernels(random_state(np.random.default_rng(41)))
+        cfg = bh.HeterodyneConfig(Omega=1.0, amplitude=1.0)
+        with pytest.raises(ValueError, match="iota_max must be finite"):
+            bh.time_average_reduce(k, cfg, iota, 40)
+
     def test_exactly_ten_periods_accepted(self):
         # 20 pi / Omega rounds one ulp below 10 * (2 pi / Omega) at Omega = 0.05,
         # but the window is judged on its periods, not on T

@@ -54,6 +54,12 @@ class TestBessel:
         with pytest.raises(ValueError, match="theta"):
             lock_config(het_config(), theta=theta)
 
+    @pytest.mark.parametrize("theta", [math.inf, math.nan, -0.1])
+    def test_truncation_refuses_bad_depth(self, theta):
+        # inf and NaN once returned BesselTruncation(nan, nan, nan)
+        with pytest.raises(ValueError, match="theta must be finite and >= 0"):
+            bh.bessel_truncation(theta)
+
     def test_finite_depth_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -164,6 +170,12 @@ class TestErrorSignal:
             lock = lock_config(cfg, demod_phase=0.2 + np.pi / 2)
             e = bh.error_signal(MEAN, lock, average_time=0.125)
             assert abs(e) < 1e-9
+
+    @pytest.mark.parametrize("average_time", [-1.0, 0.0, math.nan, math.inf, 1e300])
+    def test_bad_average_time_refused(self, average_time):
+        # -1 once averaged one step, and NaN raised a bare float-to-integer error
+        with pytest.raises(ValueError, match="average_time must be positive"):
+            bh.error_signal(MEAN, lock_config(het_config()), average_time=average_time)
 
     def test_vacuum_gives_zero(self):
         e = bh.error_signal(0j, lock_config(het_config()),
