@@ -46,22 +46,14 @@ REFERENCE_INI = os.path.join(os.path.dirname(__file__), "reference.ini")
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment settings with the snapshot of every parsed value."""
+    """Run identity, the objects built from the config, and the hashed snapshot runners read."""
 
     mode: str
     seed: int
     out: str
     opo: OpoParams
     heterodyne: HeterodyneConfig
-    grid_omega_max: float
-    grid_points: int
     welch: WelchConfig
-    mc_sample_rate: float
-    mc_segments: int
-    overlay_seeds: int
-    correlation_iota_max: float
-    correlation_points: int
-    correlation_periods: float
     lock: LockConfig
     lock_mean: complex
     snapshot: dict
@@ -88,9 +80,6 @@ def _parser_with_defaults(path: str | None) -> configparser.ConfigParser:
             if key not in known[section]:
                 raise ConfigInvalid(f"unknown key '{key}' in section [{section}]")
     return parser
-
-
-_POSITIVE = (lambda v: v > 0, "positive")
 
 
 def _check(where, check, *args, **kwargs):
@@ -141,15 +130,15 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
                    overlap=f("montecarlo", "overlap"),
                    window=read("montecarlo", "window", str))
 
-    grid_omega_max, grid_points = f("grid", "omega_max"), i("grid", "points")
-    mc_sample_rate = f("montecarlo", "sample_rate")
-    _check("[montecarlo] sample_rate:", check_rate, mc_sample_rate)
-    overlay_seeds = i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
-    mc_segments = i("montecarlo", "segments")
-    correlation_iota_max = f("correlation", "iota_max", _POSITIVE)
-    correlation_points = i("correlation", "points",
-                           (lambda v: 2 <= v <= MAX_LENGTH, f"in [2, {MAX_LENGTH}]"))
-    correlation_periods = f("correlation", "averaging_periods")
+    # the runners read these from the snapshot, the record the hash names
+    f("grid", "omega_max")
+    i("grid", "points")
+    _check("[montecarlo] sample_rate:", check_rate, f("montecarlo", "sample_rate"))
+    i("montecarlo", "overlay_seeds", (lambda v: v >= 0, "non-negative"))
+    i("montecarlo", "segments")
+    f("correlation", "iota_max", (lambda v: v > 0, "positive"))
+    i("correlation", "points", (lambda v: 2 <= v <= MAX_LENGTH, f"in [2, {MAX_LENGTH}]"))
+    f("correlation", "averaging_periods")
 
     phibar0 = f("lock", "phibar0", (lambda v: abs(v) <= MAX_PHASE, f"within +/-{MAX_PHASE} rad"))
     lock_het = _check("[lock]", HeterodyneConfig, Omega=f("lock", "omega"),
@@ -166,20 +155,10 @@ def load_config(path: str | None, *, mode: str, seed: int | None = None,
                   demod_phase=f("lock", "demod_phase"), kp=f("lock", "kp"),
                   ki=f("lock", "ki"), dt=f("lock", "dt"), duration=f("lock", "duration"),
                   lock_tolerance=f("lock", "lock_tolerance"))
-    mean_real, mean_imag = f("lock", "mean_real"), f("lock", "mean_imag")
+    lock_mean = complex(f("lock", "mean_real"), f("lock", "mean_imag"))
 
-    return ExperimentConfig(
-        mode=mode, seed=seed, out=out, opo=opo, heterodyne=het,
-        grid_omega_max=grid_omega_max, grid_points=grid_points,
-        welch=welch, mc_sample_rate=mc_sample_rate,
-        mc_segments=mc_segments, overlay_seeds=overlay_seeds,
-        correlation_iota_max=correlation_iota_max,
-        correlation_points=correlation_points,
-        correlation_periods=correlation_periods,
-        lock=lock,
-        lock_mean=complex(mean_real, mean_imag),
-        snapshot=snapshot,
-    )
+    return ExperimentConfig(mode=mode, seed=seed, out=out, opo=opo, heterodyne=het, welch=welch,
+                            lock=lock, lock_mean=lock_mean, snapshot=snapshot)
 
 
 def _sine_disturbance(amplitude: float, omega: float):
@@ -193,8 +172,8 @@ def _spectrum_panel(title, curves, points=()):
 
 
 def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
-    grid = _check("[grid]", frequency_grid, cfg.grid_omega_max, cfg.grid_points,
-                  include=(cfg.heterodyne.Omega,))
+    grid = _check("[grid]", frequency_grid, cfg.snapshot["grid"]["omega_max"],
+                  cfg.snapshot["grid"]["points"], include=(cfg.heterodyne.Omega,))
     spectra = opo_spectra(cfg.opo)
     het = heterodyne_spectrum(spectra, cfg.heterodyne, cfg.opo.eta, grid)
     hom = homodyne_spectrum(spectra, cfg.heterodyne.phibar, cfg.opo.eta, grid)
@@ -207,10 +186,11 @@ def run_spectrum(cfg: ExperimentConfig) -> tuple[list, list]:
 
 
 def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
-    n = _check("[montecarlo]", cfg.welch.total_samples, cfg.mc_segments)
-    _check("[heterodyne] omega:", check_alias, cfg.heterodyne.Omega, cfg.mc_sample_rate)
-    mc = monte_carlo_heterodyne(cfg.opo, cfg.heterodyne, cfg.mc_sample_rate,
-                                cfg.mc_segments, cfg.welch, cfg.seed)
+    sizes = cfg.snapshot["montecarlo"]
+    rate, segments = sizes["sample_rate"], sizes["segments"]
+    n = _check("[montecarlo]", cfg.welch.total_samples, segments)
+    _check("[heterodyne] omega:", check_alias, cfg.heterodyne.Omega, rate)
+    mc = monte_carlo_heterodyne(cfg.opo, cfg.heterodyne, rate, segments, cfg.welch, cfg.seed)
     analytic = heterodyne_spectrum(opo_spectra(cfg.opo), cfg.heterodyne,
                                    cfg.opo.eta, mc.omega_grid)
     meta = {"config_hash": cfg.hash, "seed": cfg.seed}
@@ -228,20 +208,20 @@ def run_montecarlo(cfg: ExperimentConfig) -> tuple[list, list]:
 
 def run_correlation(cfg: ExperimentConfig) -> tuple[list, list]:
     het = cfg.heterodyne
+    corr = cfg.snapshot["correlation"]
+    iota_max, periods = corr["iota_max"], corr["averaging_periods"]
     try:  # the window's faults are config faults, refused before the source is built
-        check_averaging(het.Omega, cfg.correlation_periods, cfg.correlation_iota_max)
+        check_averaging(het.Omega, periods, iota_max)
     except ValueError as exc:
         raise ConfigInvalid(f"[heterodyne] {exc}") from None
     except InsufficientAveraging as exc:
         raise ConfigInvalid(f"[correlation] {exc}") from None
     kernels = opo_field_state(cfg.opo)
-    tau = np.linspace(-cfg.correlation_iota_max, cfg.correlation_iota_max,
-                      cfg.correlation_points)
+    tau = np.linspace(-iota_max, iota_max, corr["points"])
     closed = lambda_prime(kernels, het, tau)
     quad_form = lambda_prime_quadrature_form(kernels, het, tau)
-    T = cfg.correlation_periods * math.pi / het.Omega
-    averaged = np.array([time_average_reduce(kernels, het, x, cfg.correlation_periods)
-                         for x in tau])
+    T = periods * math.pi / het.Omega
+    averaged = np.array([time_average_reduce(kernels, het, x, periods) for x in tau])
     columns = {"tau": tau, "lambda_prime": closed,
                "lambda_prime_quadrature": quad_form, "time_average": averaged}
     meta = {"config_hash": cfg.hash, "averaging_time": T}
@@ -276,15 +256,15 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
     homodyne with the same source.
     Monte-Carlo points overlay the curves when overlay_seeds > 0.
     """
-    gamma = cfg.opo.gamma
+    gamma, sizes = cfg.opo.gamma, cfg.snapshot["montecarlo"]
+    rate, segments, seeds = sizes["sample_rate"], sizes["segments"], sizes["overlay_seeds"]
     grids = [_check(f"[opo] gamma and [grid] points (grid to 3 * gamma + {ratio} * gamma):",
-                    frequency_grid, 3.0 * gamma + ratio * gamma, cfg.grid_points,
+                    frequency_grid, 3.0 * gamma + ratio * gamma, cfg.snapshot["grid"]["points"],
                     include=(ratio * gamma,)) for ratio in FIGURE3_RATIOS.values()]
-    if cfg.overlay_seeds > 0:
-        _check("[montecarlo]", cfg.welch.total_samples, cfg.mc_segments)
+    if seeds > 0:
+        _check("[montecarlo]", cfg.welch.total_samples, segments)
         for ratio in FIGURE3_RATIOS.values():
-            _check(f"[opo] gamma ({ratio} * gamma):", check_alias, ratio * gamma,
-                   cfg.mc_sample_rate)
+            _check(f"[opo] gamma ({ratio} * gamma):", check_alias, ratio * gamma, rate)
     curves, estimators = [], []
     for (label, ratio), grid in zip(FIGURE3_RATIOS.items(), grids):
         Om = ratio * gamma
@@ -292,17 +272,17 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
                        opo_heterodyne_closed_form(cfg.opo, Om, grid)))
         het = HeterodyneConfig(Omega=Om)
         estimators.append(lambda seed, het=het: monte_carlo_heterodyne(
-            cfg.opo, het, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, seed))
-    grid = frequency_grid(3.0 * gamma, cfg.grid_points)
+            cfg.opo, het, rate, segments, cfg.welch, seed))
+    grid = frequency_grid(3.0 * gamma, cfg.snapshot["grid"]["points"])
     curves.append(("(d) homodyne",
                    homodyne_spectrum(opo_spectra(cfg.opo), 0.0, cfg.opo.eta, grid)))
     estimators.append(lambda seed: monte_carlo_homodyne(
-        cfg.opo, 0.0, cfg.mc_sample_rate, cfg.mc_segments, cfg.welch, seed))
+        cfg.opo, 0.0, rate, segments, cfg.welch, seed))
 
     # Seed-major: all four panels build equal phibar = 0 spectra, and the
     # synthesis memo keys on the spectrum, so three of every four are hits.
     omega, chi_sums = None, [0.0] * len(estimators)
-    for k in range(cfg.overlay_seeds):
+    for k in range(seeds):
         for j, estimate in enumerate(estimators):
             mc = estimate(cfg.seed + k)
             omega, chi_sums[j] = mc.omega_grid, chi_sums[j] + mc.chi_normalized
@@ -311,7 +291,7 @@ def run_figure3(cfg: ExperimentConfig) -> tuple[list, list]:
     for label, (title, sd), chi_sum in zip("abcd", curves, chi_sums):
         artifacts.append((f"figure3_{label}.csv", write_spectral_csv, sd, meta))
         points = [] if omega is None else _overlay_points(
-            omega, chi_sum / cfg.overlay_seeds, sd.omega_grid[-1])
+            omega, chi_sum / seeds, sd.omega_grid[-1])
         panels.append(_spectrum_panel(title, [(sd.omega_grid, sd.chi_normalized)], points))
     return [*artifacts, ("figure3.svg", write_svg, panels)], []
 

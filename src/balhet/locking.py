@@ -242,15 +242,19 @@ def _demodulate(mean: complex, lock: LockConfig, eta: float, n: int):
         k = min(_LOCK_BLOCK, n - j)
         phibar_b = []
         error_b = []
-        for b, br, bi, r, d in _block_inputs(lock, mean_conj, eta,
-                                             np.arange(j, j + k) * dt):
-            psi = u + d
-            j_ac = b + 2.0 * (br * cos(psi) - bi * sin(psi))
-            filt += alpha * (j_ac * r - filt)
-            integ += filt * dt
-            u = kp * filt + ki * integ
-            phibar_b.append(phibar0 + psi)
-            error_b.append(filt)
+        inputs = _block_inputs(lock, mean_conj, eta, np.arange(j, j + k) * dt)
+        try:  # free per step; only cos and sin of an infinite phase raise in the loop
+            for b, br, bi, r, d in inputs:
+                psi = u + d
+                j_ac = b + 2.0 * (br * cos(psi) - bi * sin(psi))
+                filt += alpha * (j_ac * r - filt)
+                integ += filt * dt
+                u = kp * filt + ki * integ
+                phibar_b.append(phibar0 + psi)
+                error_b.append(filt)
+        except ValueError:
+            raise LockFailure("loop diverged: the actuator phase overflowed") from None
+        del inputs  # a spent zip still holds four lists; the next block is built without them
         phibar[j:j + k] = phibar_b
         error[j:j + k] = error_b
     return phibar, error
@@ -269,9 +273,12 @@ def error_signal(mean: complex, lock: LockConfig, eta: float = 1.0, *,
         raise ValueError(f"average_time must be positive and at most {MAX_LENGTH} dt, "
                          f"got {average_time}")
     # long enough that the filter's startup transient is below rounding
-    settle_time = 30.0 / lock.cutoff
+    settle_steps = 30.0 / lock.cutoff / lock.dt
     n_avg = max(1, int(round(average_time / lock.dt)))
-    n_settle = int(math.ceil(settle_time / lock.dt))
+    if not settle_steps <= MAX_LENGTH - n_avg:  # inf fails too
+        raise ValueError(f"lowpass_cutoff {lock.cutoff} needs more than {MAX_LENGTH} dt "
+                         "of settling and averaging")
+    n_settle = math.ceil(settle_steps)
     open_loop = replace(lock, kp=0.0, ki=0.0, disturbance=None)
     _, error = _demodulate(mean, open_loop, eta, n_settle + n_avg)
     return float(np.mean(error[n_settle:]))
@@ -290,7 +297,7 @@ def closed_loop_simulate(mean: complex, lock: LockConfig,
 
     Raises LockFailure (with the trajectory attached) when the loop has
     not settled onto a stable extremum of the quadrature mean within the
-    configured duration.
+    configured duration, and without one when the actuator phase overflows.
     """
     n = int(round(lock.duration / lock.dt))
     phibar, error = _demodulate(mean, lock, eta, n)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main
+from balhet.cli import REFERENCE_INI, RUNNERS, load_config, main, run_spectrum
 from balhet.errors import ConfigInvalid, NonPhysicalSpectrum
 from balhet.locking import closed_loop_simulate
 from balhet.serialize import config_hash, write_table_csv
@@ -761,6 +761,20 @@ def test_runners_compute_and_write_nothing(tmp_path, mode):
     assert (panels == []) == (mode == "figure3")
 
 
+def test_run_follows_the_hashed_snapshot(tmp_path):
+    # the runners read each run size from the snapshot that the hash names,
+    # so an edited snapshot runs and hashes as the config that parses to it
+    cfg = load_config(None, mode="spectrum")
+    grid = {**cfg.snapshot["grid"], "points": 11}
+    edited = replace(cfg, snapshot={**cfg.snapshot, "grid": grid})
+    parsed = load_config(_config(tmp_path, "[grid]\npoints = 11\n"), mode="spectrum")
+    assert edited.hash == parsed.hash != cfg.hash
+    (name, _, spectrum, meta), _ = run_spectrum(edited)[0]
+    assert name == "spectrum_heterodyne.csv" and meta == {"config_hash": parsed.hash}
+    # 11 points plus the offset +/-Omega, which frequency_grid inserts
+    assert len(spectrum.omega_grid) == 13
+
+
 _FLOATS = st.one_of(st.floats(), st.sampled_from(["nan", "inf", "-inf"]))
 
 
@@ -809,8 +823,9 @@ def test_reference_keys_load_or_refuse(mode, entry, value):
             cfg = load_config(conf, mode=mode)
         except ConfigInvalid:
             return
-    assert cfg.seed >= 0 and cfg.overlay_seeds >= 0
-    assert all(math.isfinite(v) for v in vars(cfg).values() if isinstance(v, float))
+    assert cfg.seed >= 0 and cfg.snapshot["montecarlo"]["overlay_seeds"] >= 0
+    assert all(math.isfinite(v) for values in cfg.snapshot.values()
+               for v in values.values() if isinstance(v, float))
 
 
 _ANGLE = st.floats(-4.0, 4.0)
@@ -898,6 +913,10 @@ _SMALL = {("montecarlo", "segments"): 20, ("montecarlo", "segment_length"): 256,
 # extreme key cannot put gamma and epsilon both at this magnitude
 @example(mode="montecarlo", svg=False, seed=0, values={**_SMALL, **NEAR_THRESHOLD},
          extreme=None)
+# an overflowing actuator phase once reached math.cos (traceback)
+@example(mode="lock", svg=False, seed=0,
+         values={**_SMALL, ("lock", "duration"): 0.25, ("lock", "theta"): 0.0},
+         extreme=(("lock", "mean_real"), 1.7e308))
 def test_every_mode_runs_or_refuses(tmp_path, capsys, mode, svg, seed, values, extreme):
     # run, not only load: finite artifacts and a quiet stderr, or a config
     # or numerical refusal of one line that writes nothing

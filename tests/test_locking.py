@@ -177,6 +177,14 @@ class TestErrorSignal:
         with pytest.raises(ValueError, match="average_time must be positive"):
             bh.error_signal(MEAN, lock_config(het_config()), average_time=average_time)
 
+    @pytest.mark.parametrize("cutoff", [1e-300, 5e-324])
+    def test_settling_beyond_max_length_refused(self, cutoff):
+        # 1e-300 once asked numpy for an array beyond its index range, and
+        # 5e-324 made the settling steps infinite (a bare OverflowError)
+        with pytest.raises(ValueError, match="lowpass_cutoff"):
+            bh.error_signal(MEAN, lock_config(het_config(), lowpass_cutoff=cutoff),
+                            average_time=0.125)
+
     def test_vacuum_gives_zero(self):
         e = bh.error_signal(0j, lock_config(het_config()),
                             average_time=0.125)
@@ -263,6 +271,12 @@ class TestClosedLoop:
         with pytest.raises(LockFailure) as info:
             bh.closed_loop_simulate(0j, lock_config(het_config(), duration=0.05))
         assert info.value.trajectory is not None
+
+    def test_infinite_actuator_phase_raises_lock_failure(self):
+        # an infinite phase once reached math.cos as a bare ValueError
+        lock = lock_config(het_config(), disturbance=lambda t: np.inf, duration=0.01)
+        with pytest.raises(LockFailure, match="actuator phase overflowed"):
+            bh.closed_loop_simulate(MEAN, lock)
 
     def test_unconverged_raises_with_trajectory(self):
         slow = lock_config(het_config(phibar=0.3), ki=1.0, duration=0.05)
